@@ -9,7 +9,6 @@ at level crossings are resolved instead of averaged away.
 
 from .spectral import (
     DEFAULT_FD_STEP,
-    JacobiConvergenceError,
     ParametricModel,
     Spectrum,
     SymmetricMatrix,

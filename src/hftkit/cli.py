@@ -18,7 +18,7 @@ import numpy as np
 from .fermi import FillingSpec, cusp_report, find_crossings, ground_state_curve
 from .hft import hft_report, rotated_spectrum
 from .models import MODEL_NAMES, MODEL_SUMMARIES, build_model
-from .spectral import DEFAULT_FD_STEP, JacobiConvergenceError, TrackingError, match_columns
+from .spectral import DEFAULT_FD_STEP, TrackingError, match_columns
 from .svgplot import line_plot
 from .symmetry import ClassificationError, classify_vector
 
@@ -220,12 +220,11 @@ def run_classify(config: ScanConfig, lam: float) -> tuple[int, str]:
     if model.symmetry is None or model.character_table is None:
         return 2, f"model {model.name!r} carries no symmetry representation\n"
     rot = rotated_spectrum(model, lam, config.tol_deg)
+    vectors = rot.eigenvectors
     lines = []
     for k in range(rot.dim):
         try:
-            label = classify_vector(
-                rot.eigenvectors[:, k], model.symmetry, model.character_table
-            ).label
+            label = classify_vector(vectors[:, k], model.symmetry, model.character_table).label
         except ClassificationError:
             label = "MIXED"
         lines.append(f"{k} {_fmt(rot.eigenvalues[k])} {label}")
@@ -367,7 +366,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _dispatch(args)
-    except (TrackingError, JacobiConvergenceError) as exc:
+    except TrackingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .hft import RotatedSpectrum, rotated_spectrum
-from .spectral import ParametricModel, TrackingError
+from .spectral import ParametricModel, TrackingError, track
 from .symmetry import ClassificationError, classify_vector
 
 BISECTION_WIDTH = 1e-10
@@ -156,17 +156,15 @@ def cusp_report(
     )
 
 
-def _branch_eigenvalue(model: ParametricModel, lam: float, vector: np.ndarray) -> float:
-    """Eigenvalue of the branch whose eigenvector continues ``vector``."""
-    spec = model.spectrum(lam)
-    mags = np.abs(spec.eigenvectors.T @ vector)
-    order = np.argsort(-mags, kind="stable")
-    if len(mags) > 1 and mags[order[0]] - mags[order[1]] <= 1e-6:
+def _branch_eigenvalue(model: ParametricModel, lam: float, column: np.ndarray) -> float:
+    """Eigenvalue of the branch whose eigenvector continues the d x 1 ``column``."""
+    try:
+        return float(track(column, model.spectrum(lam)).eigenvalues[0])
+    except TrackingError as exc:
         raise TrackingError(
-            f"branch identification ambiguous at lambda={lam!r}; "
-            f"rerun with more grid steps"
-        )
-    return float(spec.eigenvalues[order[0]])
+            f"cannot tell which branch continues the tracked frontier state at "
+            f"lambda={lam!r}: the frontier state is degenerate there"
+        ) from exc
 
 
 def find_crossings(
@@ -207,8 +205,9 @@ def find_crossings(
     for i in range(len(grid) - 1):
         if i in exact_hits or (i + 1) in exact_hits:
             continue
-        vec_occ = rots[i].eigenvectors[:, n_p - 1]
-        vec_emp = rots[i].eigenvectors[:, n_p]
+        vectors = rots[i].eigenvectors
+        vec_occ = vectors[:, n_p - 1 : n_p]
+        vec_emp = vectors[:, n_p : n_p + 1]
 
         def gap(lam: float) -> float:
             return _branch_eigenvalue(model, lam, vec_emp) - _branch_eigenvalue(

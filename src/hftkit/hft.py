@@ -26,7 +26,7 @@ from .spectral import (
     eigh,
     fd_derivative,
     fd_derivative_onesided,
-    match_columns,
+    track,
 )
 
 DEGENERACY_REL_TOL = 1e-8
@@ -264,17 +264,16 @@ def _tracked_references(
 ) -> np.ndarray:
     """Richardson central difference of eigenvalue branches, each branch
     identified by overlap with the rotated basis at lam."""
+    vectors = rot.eigenvectors
     branch_vals = {}
     for x in (lam + h, lam - h, lam + h / 2.0, lam - h / 2.0):
-        spec_x = model.spectrum(x)
         try:
-            perm, _ = match_columns(rot.eigenvectors, spec_x.eigenvectors)
+            branch_vals[x] = track(vectors, model.spectrum(x)).eigenvalues
         except TrackingError as exc:
             raise TrackingError(
                 f"branch tracking failed at lambda={x!r} while differentiating "
                 f"around {lam!r}: {exc}"
             ) from exc
-        branch_vals[x] = spec_x.eigenvalues[perm]
     d_h = (branch_vals[lam + h] - branch_vals[lam - h]) / (2.0 * h)
     d_h2 = (branch_vals[lam + h / 2.0] - branch_vals[lam - h / 2.0]) / h
     return (4.0 * d_h2 - d_h) / 3.0
@@ -324,16 +323,14 @@ def offdiag_identity_residual(
         return abs(element)
     tracked = {}
     for x in (lam + h, lam - h):
-        spec_x = model.spectrum(x)
         try:
-            perm, signs = match_columns(vectors, spec_x.eigenvectors)
+            tracked[x] = track(vectors, model.spectrum(x)).eigenvectors
         except TrackingError as exc:
             raise TrackingError(
                 f"eigenvector tracking failed at lambda={x!r}; rotate the "
                 f"degenerate clusters with hft_consistent_basis before "
                 f"differencing, or shrink h"
             ) from exc
-        tracked[x] = spec_x.eigenvectors[:, perm] * signs
     dpsi_n = (tracked[lam + h][:, n] - tracked[lam - h][:, n]) / (2.0 * h)
     gap = float(rot.eigenvalues[n] - rot.eigenvalues[m])
     return abs(element - gap * float(vectors[:, m] @ dpsi_n))
@@ -350,11 +347,9 @@ def continuity_overlap(
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    rot = rotated_spectrum(model, lam0, tol)
+    vectors = rotated_spectrum(model, lam0, tol).eigenvectors
     worst = math.inf
     for x in (lam0 - delta, lam0 + delta):
-        spec_x = model.spectrum(x)
-        perm, _ = match_columns(rot.eigenvectors, spec_x.eigenvectors)
-        diag = np.abs(np.sum(rot.eigenvectors * spec_x.eigenvectors[:, perm], axis=0))
-        worst = min(worst, float(diag.min()))
+        tracked = track(vectors, model.spectrum(x)).eigenvectors
+        worst = min(worst, float(np.abs(np.sum(vectors * tracked, axis=0)).min()))
     return worst

@@ -1,10 +1,10 @@
 """Dense symmetric eigendecomposition, finite-difference derivative oracles,
 and eigenpair tracking along a parameter grid.
 
-Everything here is deterministic: for a fixed input matrix the solver visits
-rotation pairs in a fixed cyclic order, eigenvalues are sorted with a stable
-sort, and each eigenvector's sign is fixed so that its largest-magnitude
-component is positive (ties broken by lowest index).
+Everything here is deterministic: for a fixed input matrix LAPACK returns
+the same eigenpairs, eigenvalues are sorted with a stable sort, and each
+eigenvector's sign is fixed so that its largest-magnitude component is
+positive (ties broken by lowest index).
 """
 
 from __future__ import annotations
@@ -18,28 +18,10 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from .symmetry import CharacterTable, GroupRep
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-# Sweep control for the cyclic Jacobi solver.
-JACOBI_REL_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 64
-# Above this dimension the O(d^3)-per-sweep Jacobi kernel is no longer
-# competitive and we hand the (already symmetric, dense) problem to LAPACK.
-JACOBI_MAX_DIM = 128
-
 DEFAULT_FD_STEP = 1e-4
 TRACKING_AMBIGUITY_TOL = 1e-6
 
 _CONSTRUCTION_ASYM_TOL = 1e-12
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted without reaching the off-diagonal threshold."""
 
 
 class TrackingError(RuntimeError):
@@ -98,107 +80,28 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
 
-def _jacobi_kernel(a, v, rel_tol, max_sweeps):
-    """Cyclic Jacobi sweeps on a (modified in place), rotations accumulated
-    into v.  Returns the number of sweeps used, or -1 if not converged."""
-    n = a.shape[0]
-    norm = 0.0
-    for i in range(n):
-        for j in range(n):
-            norm += a[i, j] * a[i, j]
-    thresh = rel_tol * norm ** 0.5
-    for sweep in range(max_sweeps + 1):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += 2.0 * a[i, j] * a[i, j]
-        if off ** 0.5 <= thresh:
-            return sweep
-        if sweep == max_sweeps:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + (1.0 + theta * theta) ** 0.5)
-                else:
-                    t = -1.0 / (-theta + (1.0 + theta * theta) ** 0.5)
-                c = 1.0 / (1.0 + t * t) ** 0.5
-                s = t * c
-                tau = s / (1.0 + c)
-                app = a[p, p]
-                aqq = a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for i in range(n):
-                    if i != p and i != q:
-                        aip = a[i, p]
-                        aiq = a[i, q]
-                        a[i, p] = aip - s * (aiq + tau * aip)
-                        a[p, i] = a[i, p]
-                        a[i, q] = aiq + s * (aip - tau * aiq)
-                        a[q, i] = a[i, q]
-                for i in range(n):
-                    vip = v[i, p]
-                    viq = v[i, q]
-                    v[i, p] = vip - s * (viq + tau * vip)
-                    v[i, q] = viq + s * (vip - tau * viq)
-    return -1
-
-
-if _HAVE_NUMBA:
-    _jacobi = njit(cache=True)(_jacobi_kernel)
-else:  # pragma: no cover
-    _jacobi = _jacobi_kernel
-
-
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude component is positive."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        lead = int(np.argmax(np.abs(out[:, k])))
-        if out[lead, k] < 0.0:
-            out[:, k] = -out[:, k]
-    return out
+    """Flip each column so its largest-magnitude component is positive.
+
+    Ties go to the lowest index.  The result is C-contiguous whatever the
+    input layout: products such as v @ hp @ v round differently otherwise.
+    """
+    lead = np.argmax(np.abs(vectors), axis=0)
+    signs = np.where(vectors[lead, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
+    return np.multiply(vectors, signs, order="C")
 
 
-def eigh(
-    m: SymmetricMatrix,
-    method: str = "auto",
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix.
+def eigh(m: SymmetricMatrix) -> Spectrum:
+    """Full eigendecomposition of a symmetric matrix by LAPACK.
 
-    ``method`` is one of ``"auto"``, ``"jacobi"``, ``"lapack"``.  The auto
-    rule runs cyclic Jacobi sweeps up to dimension ``JACOBI_MAX_DIM`` and
-    LAPACK beyond that.  Either way the result is post-processed to the
-    same convention: eigenvalues ascending (stable sort) and the sign of
-    every eigenvector fixed by its largest-magnitude component.
+    The result follows one convention: eigenvalues ascending (stable sort)
+    and the sign of every eigenvector fixed by its largest-magnitude
+    component.
 
     The returned Spectrum carries ``lam = nan``; use
     :meth:`ParametricModel.spectrum` to bind a parameter value.
     """
-    if method == "auto":
-        method = "jacobi" if (m.dim <= JACOBI_MAX_DIM and _HAVE_NUMBA) else "lapack"
-    if method == "jacobi":
-        a = m.entries.copy()
-        v = np.eye(m.dim)
-        sweeps = _jacobi(a, v, JACOBI_REL_TOL, max_sweeps)
-        if sweeps < 0:
-            raise JacobiConvergenceError(
-                f"Jacobi did not converge within {max_sweeps} sweeps "
-                f"(dim {m.dim}); the input is likely pathological"
-            )
-        w = np.diag(a).copy()
-    elif method == "lapack":
-        w, v = np.linalg.eigh(m.entries)
-    else:
-        raise ValueError(f"unknown eigh method {method!r}")
+    w, v = np.linalg.eigh(m.entries)
     order = np.argsort(w, kind="stable")
     return Spectrum(
         lam=math.nan,
@@ -236,9 +139,9 @@ def fd_derivative_onesided(
     if side not in (+1, -1):
         raise ValueError("side must be +1 or -1")
     s = float(side)
+    f0 = f(x0)
 
     def three_point(step: float) -> float:
-        f0 = f(x0)
         f1 = f(x0 + s * step)
         f2 = f(x0 + 2.0 * s * step)
         if not all(math.isfinite(v) for v in (f0, f1, f2)):
@@ -291,8 +194,8 @@ class ParametricModel:
             return self.derivative_at(lam)
         return fd_matrix_derivative(self, lam, self.fd_step)
 
-    def spectrum(self, lam: float, method: str = "auto") -> Spectrum:
-        s = eigh(self.hamiltonian(lam), method=method)
+    def spectrum(self, lam: float) -> Spectrum:
+        s = eigh(self.hamiltonian(lam))
         return Spectrum(lam=lam, eigenvalues=s.eigenvalues, eigenvectors=s.eigenvectors)
 
 
@@ -320,45 +223,50 @@ def match_columns(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy best-overlap assignment of candidate columns to reference columns.
 
-    Returns ``(perm, signs)`` such that ``candidate[:, perm] * signs`` is the
-    reordering of ``candidate`` aligned with ``reference`` (each matched
-    overlap positive).  Raises :class:`TrackingError` when, for some
-    reference column, the two best remaining |overlaps| differ by less than
-    ``ambiguity_tol``.
+    ``reference`` holds k <= d columns of the same length as the d columns
+    of ``candidate``.  Returns ``(perm, signs)``, each of length k, such that
+    ``candidate[:, perm] * signs`` is the selection of ``candidate`` aligned
+    with ``reference`` (each matched overlap positive).  Raises
+    :class:`TrackingError` when, for some reference column, the two best
+    remaining |overlaps| differ by less than ``ambiguity_tol``.
     """
-    if reference.shape != candidate.shape:
-        raise ValueError("column sets must have identical shapes")
-    d = reference.shape[1]
+    rows, k = reference.shape
+    if rows != candidate.shape[0] or k > candidate.shape[1]:
+        raise ValueError(
+            f"cannot match a {rows} x {k} reference against candidates of shape {candidate.shape}"
+        )
     overlaps = reference.T @ candidate
-    perm = np.empty(d, dtype=int)
-    signs = np.empty(d)
-    unassigned = list(range(d))
-    for k in range(d):
-        mags = np.abs(overlaps[k, unassigned])
+    perm = np.empty(k, dtype=int)
+    signs = np.empty(k)
+    unassigned = list(range(candidate.shape[1]))
+    for j in range(k):
+        mags = np.abs(overlaps[j, unassigned])
         order = np.argsort(-mags, kind="stable")
         best = unassigned[order[0]]
         if len(unassigned) > 1 and mags[order[0]] - mags[order[1]] <= ambiguity_tol:
             raise TrackingError(
-                f"ambiguous match for state {k}: best two overlaps "
+                f"ambiguous match for state {j}: best two overlaps "
                 f"{mags[order[0]]:.6g} and {mags[order[1]]:.6g} are within "
                 f"{ambiguity_tol:g}; refine the lambda step"
             )
-        perm[k] = best
-        signs[k] = 1.0 if overlaps[k, best] >= 0.0 else -1.0
+        perm[j] = best
+        signs[j] = 1.0 if overlaps[j, best] >= 0.0 else -1.0
         unassigned.remove(best)
     return perm, signs
 
 
-def track(prev: Spectrum, next: Spectrum) -> Spectrum:
-    """Reorder ``next`` so each column continues the matching column of ``prev``.
+def track(prev, next: Spectrum) -> Spectrum:
+    """Select and reorder ``next`` so each column continues a column of ``prev``.
 
-    Columns are permuted to maximize |<prev_k|next_sigma(k)>| greedily and
-    signs flipped so every matched overlap is positive; the eigenvalues are
-    permuted consistently (so the result is branch-ordered, not sorted).
+    ``prev`` is anything with an ``eigenvectors`` attribute (a
+    :class:`Spectrum` or a rotated spectrum) or a d x k array of reference
+    columns, k <= d.  Columns are chosen to maximize |<prev_j|next_sigma(j)>|
+    greedily and signs flipped so every matched overlap is positive; the
+    eigenvalues are permuted consistently, so the result has k branch-ordered
+    columns, not sorted ones.
     """
-    if prev.dim != next.dim:
-        raise ValueError("spectra have different dimensions")
-    perm, signs = match_columns(prev.eigenvectors, next.eigenvectors)
+    reference = getattr(prev, "eigenvectors", prev)
+    perm, signs = match_columns(reference, next.eigenvectors)
     return Spectrum(
         lam=next.lam,
         eigenvalues=next.eigenvalues[perm].copy(),

@@ -310,3 +310,16 @@ def test_main_tracking_failure_is_exit_one(monkeypatch, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "ambiguous in [" in err and "--steps" in err
+
+
+def test_main_crossings_degenerate_bisection_point_names_lambda(capsys):
+    # A bisection midpoint lands on lambda=0, where the oscillator's shells
+    # are degenerate; more grid steps cannot resolve that, so the message
+    # must not suggest them.
+    code = main(["crossings", "--model", "oscillator", "--nmax", "8", "--np", "2",
+                 "--lmin", "-0.5", "--lmax", "0.5", "--steps", "10"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "lambda=0" in err and "degenerate" in err
+    assert "rerun with more grid steps" not in err
+    assert "refine the lambda step" not in err
