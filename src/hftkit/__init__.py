@@ -25,6 +25,7 @@ from .hft import (
     HftReport,
     RotatedSpectrum,
     StateSlopeRecord,
+    Sweep,
     cluster_degeneracies,
     continuity_overlap,
     default_degeneracy_tol,

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .fermi import FillingSpec, cusp_report, find_crossings, ground_state_curve
-from .hft import hft_report, rotated_spectrum
+from .hft import Sweep, hft_report, rotated_spectrum
 from .models import MODEL_NAMES, MODEL_SUMMARIES, build_model
 from .spectral import DEFAULT_FD_STEP, TrackingError, match_columns
 from .svgplot import line_plot
@@ -159,18 +159,14 @@ def run_fermi(config: ScanConfig) -> tuple[CsvTable, dict[str, str]]:
         raise ValueError("fermi requires --np")
     model = config.build()
     fill = FillingSpec(config.n_particles)
-    grid = config.grid()
-    curve = ground_state_curve(model, grid, fill, config.tol_deg)
+    sweep = Sweep(model, config.grid(), config.tol_deg)
+    curve = ground_state_curve(sweep, fill)
 
     table = CsvTable(header=("lambda", "E0", "dE0"))
     for lam, e0, de0 in zip(curve.lambdas, curve.energies, curve.slopes):
         table.append((lam, e0, de0))
 
-    cusps = [
-        cusp_report(model, lam0, fill, config.tol_deg)
-        for lam0 in find_crossings(model, config.lam_lo, config.lam_hi, config.steps, fill,
-                                   config.tol_deg)
-    ]
+    cusps = [cusp_report(model, lam0, fill, sweep.tol) for lam0 in find_crossings(sweep, fill)]
     for c in cusps:
         table.comments.append(
             f"# cusp,{_fmt(c.lambda0)},{_fmt(c.slope_left)},{_fmt(c.slope_right)}"
@@ -236,9 +232,7 @@ def run_crossings(config: ScanConfig) -> tuple[int, str]:
         raise ValueError("crossings requires --np")
     model = config.build()
     fill = FillingSpec(config.n_particles)
-    found = find_crossings(
-        model, config.lam_lo, config.lam_hi, config.steps, fill, config.tol_deg
-    )
+    found = find_crossings(Sweep(model, config.grid(), config.tol_deg), fill)
     return 0, "".join(f"{_fmt(lam0)}\n" for lam0 in found)
 
 

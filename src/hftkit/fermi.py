@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hft import RotatedSpectrum, rotated_spectrum
+from .hft import RotatedSpectrum, Sweep, rotated_spectrum
 from .spectral import ParametricModel, TrackingError, track
 from .symmetry import ClassificationError, classify_vector
 
@@ -167,15 +167,8 @@ def _branch_eigenvalue(model: ParametricModel, lam: float, column: np.ndarray) -
         ) from exc
 
 
-def find_crossings(
-    model: ParametricModel,
-    lam_lo: float,
-    lam_hi: float,
-    steps: int,
-    fill: FillingSpec,
-    tol: Optional[float] = None,
-) -> list[float]:
-    """Locate frontier level crossings in [lam_lo, lam_hi].
+def find_crossings(sweep: Sweep, fill: FillingSpec) -> list[float]:
+    """Locate frontier level crossings in the span of the sweep's grid.
 
     The frontier gap is followed along tracked branches (sorted order would
     smooth symmetry-allowed crossings over instead of detecting them); each
@@ -183,17 +176,18 @@ def find_crossings(
     Grid points already sitting on a frontier degeneracy are reported
     directly.
     """
+    model = sweep.model
     fill.check(model.dim)
-    if steps < 2:
-        raise ValueError("need at least 2 grid steps")
-    if not (lam_lo < lam_hi):
-        raise ValueError("need lam_lo < lam_hi")
+    grid = sweep.lambdas
+    if len(grid) < 2:
+        raise ValueError("need at least 2 grid points")
+    if not (grid[0] < grid[-1] and np.all(np.diff(grid) >= 0.0)):
+        raise ValueError("need an ascending grid")
     n_p = fill.n_particles
     if n_p >= model.dim:
         return []  # full filling has no frontier
 
-    grid = np.linspace(lam_lo, lam_hi, steps)
-    rots = [rotated_spectrum(model, lam, tol) for lam in grid]
+    rots = list(sweep)
 
     crossings: list[float] = []
     exact_hits = set()
@@ -229,22 +223,17 @@ def find_crossings(
     return sorted(crossings)
 
 
-def ground_state_curve(
-    model: ParametricModel,
-    lambdas: np.ndarray,
-    fill: FillingSpec,
-    tol: Optional[float] = None,
-) -> GroundStateCurve:
-    """Sample E0 and its slope on a grid.  At a grid point that lands
-    exactly on a cusp the left slope is recorded."""
+def ground_state_curve(sweep: Sweep, fill: FillingSpec) -> GroundStateCurve:
+    """Sample E0 and its slope on the sweep's grid.  At a grid point that
+    lands exactly on a cusp the left slope is recorded."""
+    model = sweep.model
     fill.check(model.dim)
     n_p = fill.n_particles
-    lams = np.asarray(lambdas, dtype=float)
+    lams = sweep.lambdas
     energies = np.empty_like(lams)
     slopes = np.empty_like(lams)
     tags = []
-    for k, lam in enumerate(lams):
-        rot = rotated_spectrum(model, float(lam), tol)
+    for k, (lam, rot) in enumerate(zip(lams, sweep)):
         energies[k] = float(np.sum(rot.eigenvalues[:n_p]))
         if _frontier_cluster(rot, n_p) is None:
             slopes[k] = float(np.sum(rot.cluster_slopes[:n_p]))

@@ -23,6 +23,7 @@ from .spectral import (
     Spectrum,
     SymmetricMatrix,
     TrackingError,
+    _check_step,
     eigh,
     fd_derivative,
     fd_derivative_onesided,
@@ -62,8 +63,8 @@ def cluster_degeneracies(eigenvalues: np.ndarray, tol: float) -> list[Degenerate
     """Partition ascending eigenvalues into maximal runs with consecutive
     gaps <= tol.  tol = 0 clusters exactly equal values only."""
     w = np.asarray(eigenvalues, dtype=float)
-    if tol < 0.0:
-        raise ValueError("tolerance must be non-negative")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
     if np.any(np.diff(w) < 0.0):
         raise ValueError("eigenvalues must be ascending")
     clusters: list[DegenerateCluster] = []
@@ -200,6 +201,39 @@ def rotated_spectrum(
     return hft_consistent_basis(model.spectrum(lam), model.derivative(lam), tol)
 
 
+class Sweep:
+    """Rotated spectra of one model on a fixed lambda grid.
+
+    Point k is computed by :func:`rotated_spectrum` the first time it is
+    read and kept, so every consumer of the grid shares one
+    diagonalization per lambda.
+    """
+
+    def __init__(
+        self, model: ParametricModel, lambdas: np.ndarray, tol: Optional[float] = None
+    ) -> None:
+        lams = np.array(lambdas, dtype=float)
+        if lams.ndim != 1:
+            raise ValueError("the lambda grid must be one-dimensional")
+        lams.flags.writeable = False  # the kept spectra belong to these values
+        self.model = model
+        self.lambdas = lams
+        self.tol = tol
+        self._points: list[Optional[RotatedSpectrum]] = [None] * len(lams)
+
+    def __len__(self) -> int:
+        return len(self.lambdas)
+
+    def __getitem__(self, k: int) -> RotatedSpectrum:
+        rot = self._points[k]
+        if rot is None:
+            rot = self._points[k] = rotated_spectrum(self.model, float(self.lambdas[k]), self.tol)
+        return rot
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+
 @dataclass(frozen=True)
 class StateSlopeRecord:
     index: int
@@ -228,14 +262,32 @@ class HftReport:
     warnings: tuple[str, ...] = ()
 
 
+def _fit_step(model: ParametricModel, lam: float, h: float, reach: float, sides) -> float:
+    """h, or a smaller step when a stencil point lam + s * reach * h (s in
+    ``sides``) would leave the model's open domain."""
+    if all(model.contains(lam + s * reach * h) for s in sides):
+        return h
+    lo, hi = model.lambda_domain
+    room = min(hi - lam if s > 0 else lam - lo for s in sides)
+    return room / (reach + 1.0)
+
+
 def _oracle_references(
     model: ParametricModel, rot: RotatedSpectrum, lam: float, h: float
 ) -> np.ndarray:
     oracle = model.analytic_eigenvalues_at
     assert oracle is not None
+    levels: dict[float, np.ndarray] = {}
+
+    def level(x: float, i: int) -> float:
+        # Every stencil reads all d levels at a handful of points; the oracle
+        # is pure, so each point is evaluated once.
+        if x not in levels:
+            levels[x] = oracle(x)
+        return float(levels[x][i])
+
     w = rot.eigenvalues
     d = rot.dim
-    domain_hi = model.lambda_domain[1]
     refs = np.empty(d)
     for c in rot.clusters:
         if c.size == 1:
@@ -247,12 +299,13 @@ def _oracle_references(
                 gap = min(gap, w[i] - w[i - 1])
             if i + 1 < d:
                 gap = min(gap, w[i + 1] - w[i])
-            hi_step = max(min(h, gap / 4.0), 1e-8)
-            refs[i] = fd_derivative(lambda x, i=i: float(oracle(x)[i]), lam, hi_step)
+            hi_step = _fit_step(model, lam, max(min(h, gap / 4.0), 1e-8), 1.0, (+1, -1))
+            refs[i] = fd_derivative(lambda x, i=i: level(x, i), lam, hi_step)
         else:
-            side = +1 if lam + 2.0 * h < domain_hi else -1
+            side = +1 if model.contains(lam + 2.0 * h) else -1
+            step = _fit_step(model, lam, h, 2.0, (side,))
             one_sided = sorted(
-                fd_derivative_onesided(lambda x, j=j: float(oracle(x)[j]), lam, h, side)
+                fd_derivative_onesided(lambda x, j=j: level(x, j), lam, step, side)
                 for j in c.indices
             )
             refs[c.start : c.stop] = one_sided
@@ -264,6 +317,7 @@ def _tracked_references(
 ) -> np.ndarray:
     """Richardson central difference of eigenvalue branches, each branch
     identified by overlap with the rotated basis at lam."""
+    h = _fit_step(model, lam, h, 1.0, (+1, -1))
     vectors = rot.eigenvectors
     branch_vals = {}
     for x in (lam + h, lam - h, lam + h / 2.0, lam - h / 2.0):
@@ -285,7 +339,12 @@ def hft_report(
     tol: Optional[float] = None,
     h: float = DEFAULT_FD_STEP,
 ) -> HftReport:
-    """Check the diagonal slope identity for every state of the model at lam."""
+    """Check the diagonal slope identity for every state of the model at lam.
+
+    Difference stencils that would leave the model's open domain are
+    shrunk to fit inside it.
+    """
+    _check_step(h)
     rot = rotated_spectrum(model, lam, tol)
     if model.analytic_eigenvalues_at is not None:
         refs = _oracle_references(model, rot, lam, h)

@@ -82,10 +82,13 @@ def six_site_rep() -> GroupRep:
 
 
 def six_site_model() -> ParametricModel:
+    """H = A + lambda * B with A and B built once per model."""
+    a = six_site_hamiltonian(0.0).entries
+    b = six_site_derivative()
     return ParametricModel(
         dim=6,
-        hamiltonian_at=six_site_hamiltonian,
-        derivative_at=lambda lam: six_site_derivative(),
+        hamiltonian_at=lambda lam: SymmetricMatrix(a + lam * b.entries),
+        derivative_at=lambda lam: b,
         analytic_eigenvalues_at=six_site_analytic_eigenvalues,
         symmetry=six_site_rep(),
         character_table=c2v_character_table(),
@@ -137,13 +140,17 @@ def oscillator_xy_matrix(omega: float, n_max: int) -> SymmetricMatrix:
     return SymmetricMatrix(xy)
 
 
+def _oscillator_diagonal(omega: float, n_max: int) -> np.ndarray:
+    return np.diag([(m + n + 1) * omega for m, n in oscillator_basis(n_max)])
+
+
 def oscillator_matrix(omega: float, lam: float, n_max: int) -> SymmetricMatrix:
     """H0 + lambda * XY with H0 diagonal, (m + n + 1) * omega per state."""
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    basis = oscillator_basis(n_max)
-    h0 = np.diag([(m + n + 1) * omega for m, n in basis])
-    return SymmetricMatrix(h0 + lam * oscillator_xy_matrix(omega, n_max).entries)
+    return SymmetricMatrix(
+        _oscillator_diagonal(omega, n_max) + lam * oscillator_xy_matrix(omega, n_max).entries
+    )
 
 
 @dataclass(frozen=True)
@@ -222,14 +229,16 @@ def oscillator_model(
 ) -> ParametricModel:
     """Truncated-basis model.  The analytic oracle is exact for the
     untruncated problem; the lowest truncated eigenvalues converge to it
-    from above as n_max grows (the truncation is variational)."""
+    from above as n_max grows (the truncation is variational).  H0 and the
+    coupling are built once; each H(lambda) is then one scaled addition."""
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     exact = OscillatorAnalytic(omega=omega)
+    h0 = _oscillator_diagonal(omega, n_max)
     xy = oscillator_xy_matrix(omega, n_max)
     return ParametricModel(
         dim=oscillator_dim(n_max),
-        hamiltonian_at=lambda lam: oscillator_matrix(omega, lam, n_max),
+        hamiltonian_at=lambda lam: SymmetricMatrix(h0 + lam * xy.entries),
         derivative_at=lambda lam: xy,
         analytic_eigenvalues_at=lambda lam: exact.sorted_eigenvalues(lam, n_max),
         symmetry=oscillator_rep(n_max),

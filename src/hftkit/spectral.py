@@ -110,14 +110,18 @@ def eigh(m: SymmetricMatrix) -> Spectrum:
     )
 
 
+def _check_step(h: float) -> None:
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"step h must be positive and finite, got {h!r}")
+
+
 def fd_derivative(f: Callable[[float], float], x0: float, h: float = DEFAULT_FD_STEP) -> float:
     """Richardson-extrapolated central difference, error O(h^4).
 
     Evaluates f at x0 +- h and x0 +- h/2.  Non-finite function values are
     rejected rather than propagated.
     """
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
+    _check_step(h)
     vals = [f(x0 + h), f(x0 - h), f(x0 + h / 2.0), f(x0 - h / 2.0)]
     if not all(math.isfinite(v) for v in vals):
         raise ValueError(f"non-finite function value near x0={x0!r}")
@@ -134,8 +138,7 @@ def fd_derivative_onesided(
     Three-point formula with one Richardson level, error O(h^3).  ``side``
     is +1 (use x0..x0+2h) or -1 (use x0-2h..x0).
     """
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
+    _check_step(h)
     if side not in (+1, -1):
         raise ValueError("side must be +1 or -1")
     s = float(side)
@@ -204,8 +207,7 @@ def fd_matrix_derivative(
 ) -> SymmetricMatrix:
     """Entrywise central difference of the model Hamiltonian; exact for
     matrices affine in lambda (up to rounding)."""
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
+    _check_step(h)
     for x in (lam0 - h, lam0 + h):
         if not model.contains(x):
             raise ValueError(

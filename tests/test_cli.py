@@ -323,3 +323,25 @@ def test_main_crossings_degenerate_bisection_point_names_lambda(capsys):
     assert "lambda=0" in err and "degenerate" in err
     assert "rerun with more grid steps" not in err
     assert "refine the lambda step" not in err
+
+
+@pytest.mark.parametrize("lam", ["0.99995", "-0.99995"])
+def test_main_check_near_the_domain_edge_reports(lam, capsys):
+    # the difference stencils shrink to stay inside |lambda| < omega^2
+    code = main(["check", "--model", "oscillator", "--nmax", "6", "--lambda", lam])
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    assert "error:" not in err
+    lines = out.splitlines()
+    assert lines[0].startswith("model oscillator at lambda=")
+    assert sum(line.startswith("state ") for line in lines) == 28
+    assert lines[-1].startswith("worst residual")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tol-deg", "nan"), ("--tol-deg", "inf"), ("--fd-step", "nan"), ("--fd-step", "inf"),
+])
+def test_main_check_rejects_nonfinite_numbers(flag, value, capsys):
+    code = main(["check", "--model", "oscillator", "--nmax", "4", "--lambda", "0", flag, value])
+    assert code == 2
+    assert f"got {value}" in capsys.readouterr().err

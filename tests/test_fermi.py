@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import hftkit.hft
+from hftkit.cli import ScanConfig, run_fermi
 from hftkit.fermi import (
     FillingSpec,
     cusp_report,
@@ -14,7 +16,8 @@ from hftkit.fermi import (
     ground_slope_hft,
     ground_state_curve,
 )
-from hftkit.models import six_site_model
+from hftkit.hft import Sweep
+from hftkit.models import oscillator_model, six_site_model
 from hftkit.spectral import fd_derivative
 
 
@@ -100,36 +103,36 @@ def test_ground_slope_matches_fd_away_from_crossing():
 
 
 def test_find_crossings_hits_grid_point():
-    got = find_crossings(six_site_model(), 0.2, 2.0, 19, TWO)
+    got = find_crossings(Sweep(six_site_model(), np.linspace(0.2, 2.0, 19)), TWO)
     assert len(got) == 1
     assert abs(got[0] - 1.0) <= 1e-8
 
 
 def test_find_crossings_bisects_between_grid_points():
-    got = find_crossings(six_site_model(), 0.2, 1.95, 18, TWO)
+    got = find_crossings(Sweep(six_site_model(), np.linspace(0.2, 1.95, 18)), TWO)
     assert len(got) == 1
     assert abs(got[0] - 1.0) <= 1e-8
 
 
 def test_find_crossings_second_frontier():
-    got = find_crossings(six_site_model(), 0.2, 2.0, 25, FillingSpec(4))
+    got = find_crossings(Sweep(six_site_model(), np.linspace(0.2, 2.0, 25)), FillingSpec(4))
     assert len(got) == 1
     assert abs(got[0] - 1.0) <= 1e-8
 
 
 def test_find_crossings_none_below_unity():
-    assert find_crossings(six_site_model(), 0.2, 0.9, 15, TWO) == []
+    assert find_crossings(Sweep(six_site_model(), np.linspace(0.2, 0.9, 15)), TWO) == []
 
 
 def test_find_crossings_full_filling_has_no_frontier():
-    assert find_crossings(six_site_model(), 0.2, 2.0, 15, FillingSpec(6)) == []
+    assert find_crossings(Sweep(six_site_model(), np.linspace(0.2, 2.0, 15)), FillingSpec(6)) == []
 
 
 def test_find_crossings_validates_window():
     with pytest.raises(ValueError):
-        find_crossings(six_site_model(), 0.2, 2.0, 1, TWO)
+        find_crossings(Sweep(six_site_model(), np.linspace(0.2, 2.0, 1)), TWO)
     with pytest.raises(ValueError):
-        find_crossings(six_site_model(), 2.0, 0.2, 10, TWO)
+        find_crossings(Sweep(six_site_model(), np.linspace(2.0, 0.2, 10)), TWO)
 
 
 def test_cusp_report_values():
@@ -170,7 +173,7 @@ def test_cusp_one_sided_taylor_consistency(delta):
 def test_curve_energies_and_tags():
     model = six_site_model()
     grid = np.linspace(0.2, 2.0, 19)
-    curve = ground_state_curve(model, grid, TWO)
+    curve = ground_state_curve(Sweep(model, grid), TWO)
     for lam, e0 in zip(curve.lambdas, curve.energies):
         assert abs(e0 - e0_closed_form(float(lam))) <= 1e-10
     tags = dict(zip(np.round(curve.lambdas, 2), curve.branch_tags))
@@ -181,7 +184,7 @@ def test_curve_energies_and_tags():
 def test_curve_continuous_across_the_cusp():
     model = six_site_model()
     grid = np.linspace(0.99, 1.01, 21)
-    curve = ground_state_curve(model, grid, TWO)
+    curve = ground_state_curve(Sweep(model, grid), TWO)
     assert np.abs(np.diff(curve.energies)).max() <= 2e-3  # O(step), no jump
     # the slope column jumps only at the crossing
     jumps = np.abs(np.diff(curve.slopes))
@@ -191,5 +194,57 @@ def test_curve_continuous_across_the_cusp():
 
 def test_curve_without_symmetry_leaves_tags_empty():
     model = dataclasses.replace(six_site_model(), symmetry=None, character_table=None)
-    curve = ground_state_curve(model, np.linspace(0.4, 0.6, 3), TWO)
+    curve = ground_state_curve(Sweep(model, np.linspace(0.4, 0.6, 3)), TWO)
     assert curve.branch_tags == ("", "", "")
+
+
+# --- the shared grid ---
+
+
+def _count_rotations(monkeypatch):
+    lambdas = []
+    original = hftkit.hft.hft_consistent_basis
+
+    def counting(spectrum, hp, tol=None):
+        lambdas.append(spectrum.lam)
+        return original(spectrum, hp, tol)
+
+    monkeypatch.setattr(hftkit.hft, "hft_consistent_basis", counting)
+    return lambdas
+
+
+def test_sweep_fills_each_point_on_first_read(monkeypatch):
+    lambdas = _count_rotations(monkeypatch)
+    sweep = Sweep(six_site_model(), np.linspace(0.5, 1.5, 5))
+    assert lambdas == []
+    assert sweep[3] is sweep[3]
+    assert lambdas == [1.25]
+    assert [rot.lam for rot in sweep] == [0.5, 0.75, 1.0, 1.25, 1.5]
+    assert lambdas == [1.25, 0.5, 0.75, 1.0, 1.5]
+
+
+def test_curve_and_crossings_share_one_sweep(monkeypatch):
+    lambdas = _count_rotations(monkeypatch)
+    sweep = Sweep(six_site_model(), np.linspace(0.2, 2.0, 19))
+    ground_state_curve(sweep, TWO)
+    assert find_crossings(sweep, TWO) == [1.0]
+    assert len(lambdas) == 19
+
+
+@pytest.mark.parametrize("model, lo, hi, steps, n_p", [
+    ("six-site", 0.2, 2.0, 19, 2),
+    ("oscillator", 0.1, 0.7, 15, 3),
+    ("oscillator", -0.5, 0.5, 11, 2),
+])
+def test_run_fermi_rotates_each_grid_point_once(monkeypatch, model, lo, hi, steps, n_p):
+    lambdas = _count_rotations(monkeypatch)
+    config = ScanConfig(model=model, nmax=6, lam_lo=lo, lam_hi=hi, steps=steps,
+                        n_particles=n_p)
+    table, _ = run_fermi(config)
+    cusps = [c for c in table.comments if c.startswith("# cusp,")]
+    assert len(lambdas) == steps + len(cusps)
+
+
+def test_sweep_rejects_a_non_vector_grid():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        Sweep(oscillator_model(n_max=2), np.zeros((2, 2)))

@@ -78,6 +78,13 @@ def test_cluster_rejects_descending_or_negative_tol():
         cluster_degeneracies(np.array([1.0, 2.0]), -1.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_cluster_rejects_nonfinite_tol(tol):
+    # nan would form no clusters and inf one cluster of the whole spectrum
+    with pytest.raises(ValueError, match=f"got {tol!r}"):
+        cluster_degeneracies(np.array([1.0, 1.0, 2.0]), tol)
+
+
 # --- expectations and the averaging identity ---
 
 
@@ -233,6 +240,44 @@ def test_report_without_oracle_uses_tracked_branches():
     # at the crossing the tracked branches pass smoothly through, so the
     # multiset of one-sided slopes is reproduced state by state
     assert hft_report(plain, 1.0).worst_residual <= 1e-5
+
+
+def _counting_oracle(model):
+    lambdas = []
+
+    def oracle(lam):
+        lambdas.append(lam)
+        return model.analytic_eigenvalues_at(lam)
+
+    return dataclasses.replace(model, analytic_eigenvalues_at=oracle), lambdas
+
+
+@pytest.mark.parametrize("model, lam, distinct", [
+    (oscillator_model(n_max=8), 0.0, 6),
+    (oscillator_model(n_max=8), 0.37, 4),
+    (six_site_model(), 1.0, 6),
+])
+def test_report_calls_the_oracle_once_per_lambda(model, lam, distinct):
+    counted, lambdas = _counting_oracle(model)
+    report = hft_report(counted, lam)
+    assert len(lambdas) == len(set(lambdas)) == distinct
+    assert report == hft_report(model, lam)
+
+
+@pytest.mark.parametrize("lam", [0.99995, -0.99995])
+def test_report_stencils_stay_inside_the_domain(lam):
+    model = oscillator_model(n_max=4)
+    counted, lambdas = _counting_oracle(model)
+    hft_report(counted, lam)
+    assert lambdas and all(model.contains(x) for x in lambdas)
+    plain = dataclasses.replace(model, analytic_eigenvalues_at=None)
+    assert math.isfinite(hft_report(plain, lam).worst_residual)
+
+
+@pytest.mark.parametrize("h", [math.inf, math.nan, 0.0])
+def test_report_rejects_bad_step(h):
+    with pytest.raises(ValueError, match=f"got {h!r}"):
+        hft_report(oscillator_model(n_max=4), 0.3, h=h)
 
 
 def test_report_away_from_clusters_random_draws():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import hftkit.models
 from hftkit.models import (
     OscillatorAnalytic,
     build_model,
@@ -17,6 +18,8 @@ from hftkit.models import (
     oscillator_product_expectation,
     oscillator_xy_matrix,
     six_site_analytic_eigenvalues,
+    six_site_derivative,
+    six_site_hamiltonian,
     six_site_model,
     six_site_rep,
 )
@@ -246,3 +249,34 @@ def test_registry_builds_both_models():
 def test_registry_rejects_unknown():
     with pytest.raises(ValueError, match="unknown model"):
         build_model("nosuch")
+
+
+# --- affine built-ins: H = A + lambda * B with A and B built once ---
+
+
+def test_built_in_hamiltonians_are_bitwise_the_direct_builds():
+    six = six_site_model()
+    for lam in (0.05, 0.5, 1.0, 1.37, 2.9):
+        assert np.array_equal(six.hamiltonian(lam).entries, six_site_hamiltonian(lam).entries)
+        assert np.array_equal(six.derivative(lam).entries, six_site_derivative().entries)
+    for omega, n_max in ((1.0, 6), (2.0, 9)):
+        osc = oscillator_model(omega=omega, n_max=n_max)
+        for lam in (-0.9 * omega**2, -0.3, 0.0, 0.37, 0.9 * omega**2):
+            got = osc.hamiltonian(lam).entries
+            assert np.array_equal(got, oscillator_matrix(omega, lam, n_max).entries)
+
+
+def test_oscillator_coupling_is_built_once_per_model(monkeypatch):
+    calls = []
+    original = hftkit.models.oscillator_xy_matrix
+
+    def counting(omega, n_max):
+        calls.append((omega, n_max))
+        return original(omega, n_max)
+
+    monkeypatch.setattr(hftkit.models, "oscillator_xy_matrix", counting)
+    model = oscillator_model(n_max=5)
+    for lam in np.linspace(-0.8, 0.8, 17):
+        model.spectrum(float(lam))
+        model.derivative(float(lam))
+    assert calls == [(1.0, 5)]

@@ -179,6 +179,16 @@ def test_fd_derivative_rejects_nonfinite():
         fd_derivative(lambda x: x, 1.0, h=0.0)
 
 
+@pytest.mark.parametrize("h", [math.inf, math.nan, -1e-4, 0.0])
+def test_fd_steps_must_be_positive_and_finite(h):
+    model = six_site_model()
+    for call in (lambda: fd_derivative(math.sin, 1.0, h),
+                 lambda: fd_derivative_onesided(math.sin, 1.0, h, side=+1),
+                 lambda: fd_matrix_derivative(model, 1.0, h)):
+        with pytest.raises(ValueError, match=f"step h .* got {h!r}"):
+            call()
+
+
 def test_fd_onesided_matches_analytic():
     got = fd_derivative_onesided(lambda x: x**3, 2.0, 1e-4, side=+1)
     assert abs(got - 12.0) <= 1e-6
