@@ -20,7 +20,7 @@ from .hft import Sweep, hft_report, rotated_spectrum
 from .models import MODEL_NAMES, MODEL_SUMMARIES, build_model
 from .spectral import DEFAULT_FD_STEP, TrackingError, match_columns
 from .svgplot import line_plot
-from .symmetry import ClassificationError, classify_vector
+from .symmetry import _labels
 
 CHECK_THRESHOLD = 1e-6
 
@@ -216,14 +216,11 @@ def run_classify(config: ScanConfig, lam: float) -> tuple[int, str]:
     if model.symmetry is None or model.character_table is None:
         return 2, f"model {model.name!r} carries no symmetry representation\n"
     rot = rotated_spectrum(model, lam, config.tol_deg)
-    vectors = rot.eigenvectors
-    lines = []
-    for k in range(rot.dim):
-        try:
-            label = classify_vector(vectors[:, k], model.symmetry, model.character_table).label
-        except ClassificationError:
-            label = "MIXED"
-        lines.append(f"{k} {_fmt(rot.eigenvalues[k])} {label}")
+    _, labels = _labels(rot.eigenvectors, model.symmetry, model.character_table)
+    lines = [
+        f"{k} {_fmt(e)} {label or 'MIXED'}"
+        for k, (e, label) in enumerate(zip(rot.eigenvalues, labels))
+    ]
     return 0, "\n".join(lines) + "\n"
 
 
@@ -256,8 +253,31 @@ def _add_grid_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--steps", type=int, default=101)
 
 
+class _FloatLiteral:
+    """Tells argparse which dash-led arguments are numbers, not options:
+    every string float() reads.  argparse's own pattern knows only -\\d+ and
+    -\\d*.\\d+, so it took -1e-3 or -inf for an unknown option."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the parser class of its subcommands, that
+    reads any negative float, exponent form included, as an option value."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _FloatLiteral()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hftkit",
         description="spectra, slope identities, symmetry labels, and fermionic "
         "ground-state cusps of parameter-dependent symmetric operators",

@@ -24,6 +24,7 @@ from .spectral import (
     SymmetricMatrix,
     TrackingError,
     _check_step,
+    _fit_step,
     eigh,
     fd_derivative,
     fd_derivative_onesided,
@@ -59,27 +60,34 @@ class DegenerateCluster:
         return range(self.start, self.stop)
 
 
+def _partition(w: np.ndarray, tol: float) -> tuple[list[DegenerateCluster], np.ndarray]:
+    """The clusters of ascending w and the gap at each boundary between
+    neighbouring clusters, in order, from one diff."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+    gaps = np.diff(w)
+    if (gaps < 0.0).any():
+        raise ValueError("eigenvalues must be ascending")
+    if len(w) == 0:
+        return [], gaps
+    breaks = (gaps > tol).nonzero()[0]
+    bounds = [0, *(breaks + 1).tolist(), len(w)]
+    clusters = [
+        DegenerateCluster(start=a, size=b - a, tol_used=tol) for a, b in zip(bounds, bounds[1:])
+    ]
+    return clusters, gaps[breaks]
+
+
 def cluster_degeneracies(eigenvalues: np.ndarray, tol: float) -> list[DegenerateCluster]:
     """Partition ascending eigenvalues into maximal runs with consecutive
     gaps <= tol.  tol = 0 clusters exactly equal values only."""
-    w = np.asarray(eigenvalues, dtype=float)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
-    if np.any(np.diff(w) < 0.0):
-        raise ValueError("eigenvalues must be ascending")
-    clusters: list[DegenerateCluster] = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > tol:
-            clusters.append(DegenerateCluster(start=start, size=i - start, tol_used=tol))
-            start = i
-    return clusters
+    return _partition(np.asarray(eigenvalues, dtype=float), tol)[0]
 
 
 def expectation(hp: SymmetricMatrix, v: np.ndarray) -> float:
     """<v|hp|v> for a unit vector v."""
     v = np.asarray(v, dtype=float)
-    if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_NORM_TOL:
+    if abs(math.sqrt(float(v @ v)) - 1.0) > UNIT_NORM_TOL:
         raise ValueError("expectation requires a unit vector")
     return float(v @ hp.entries @ v)
 
@@ -105,16 +113,22 @@ class RotatedSpectrum:
     """A spectrum with every degenerate cluster rotated to the basis in
     which the cluster block of dH/dlambda is diagonal.
 
-    ``rotation`` is block-orthogonal and the identity outside clusters;
-    ``cluster_slopes[k]`` is the slope carried by rotated state k (a plain
-    expectation value for singletons, a block eigenvalue inside clusters,
-    ascending within each cluster).
+    ``vectors`` holds the rotated eigenvectors, stored once and read-only:
+    singleton columns are copies of the base eigenvectors, the columns of a
+    cluster are its base columns times the cluster's block.  ``blocks``
+    holds those orthogonal g x g blocks, one per cluster of size g > 1, in
+    cluster order; ``rotation`` assembles them into the block-orthogonal
+    d x d matrix, the identity outside clusters.  ``cluster_slopes[k]`` is
+    the slope carried by rotated state k (a plain expectation value for
+    singletons, a block eigenvalue inside clusters, ascending within each
+    cluster).
     """
 
     base: Spectrum
     clusters: tuple[DegenerateCluster, ...]
     cluster_slopes: np.ndarray
-    rotation: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+    vectors: np.ndarray
     warnings: tuple[str, ...] = ()
 
     @property
@@ -131,7 +145,15 @@ class RotatedSpectrum:
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        return self.base.eigenvectors @ self.rotation
+        return self.vectors
+
+    @property
+    def rotation(self) -> np.ndarray:
+        rotation = np.eye(self.dim)
+        multiplets = (c for c in self.clusters if c.size > 1)
+        for c, block in zip(multiplets, self.blocks):
+            rotation[c.start : c.stop, c.start : c.stop] = block
+        return rotation
 
     def cluster_of(self, index: int) -> DegenerateCluster:
         for c in self.clusters:
@@ -155,41 +177,41 @@ def hft_consistent_basis(
     """
     if spectrum.dim != hp.dim:
         raise ValueError("spectrum and derivative matrix dimensions differ")
+    w = spectrum.eigenvalues
     if tol is None:
-        tol = default_degeneracy_tol(spectrum.eigenvalues)
-    clusters = cluster_degeneracies(spectrum.eigenvalues, tol)
-    d = spectrum.dim
-    rotation = np.eye(d)
-    slopes = np.empty(d)
+        tol = default_degeneracy_tol(w)
+    clusters, boundary_gaps = _partition(w, tol)
     vectors = spectrum.eigenvectors
+    rotated = vectors.copy()
+    slopes = np.empty(spectrum.dim)
+    blocks = []
     for c in clusters:
         if c.size == 1:
             slopes[c.start] = expectation(hp, vectors[:, c.start])
             continue
-        block = vectors[:, c.start : c.stop].T @ hp.entries @ vectors[:, c.start : c.stop]
-        sub = eigh(SymmetricMatrix(block))
-        rotation[c.start : c.stop, c.start : c.stop] = sub.eigenvectors
+        columns = vectors[:, c.start : c.stop]
+        sub = eigh(SymmetricMatrix(columns.T @ hp.entries @ columns))
+        rotated[:, c.start : c.stop] = columns @ sub.eigenvectors
+        blocks.append(sub.eigenvectors)
         slopes[c.start : c.stop] = sub.eigenvalues
+    rotated.flags.writeable = False
 
+    # Boundary k sits between clusters k and k + 1; its gap is reported
+    # once for each of the two, left cluster first.
     warnings = []
-    w = spectrum.eigenvalues
-    for c in clusters:
-        boundary_gaps = []
-        if c.start > 0:
-            boundary_gaps.append(w[c.start] - w[c.start - 1])
-        if c.stop < d:
-            boundary_gaps.append(w[c.stop] - w[c.stop - 1])
-        for g in boundary_gaps:
-            if tol < g <= BOUNDARY_WARNING_FACTOR * tol:
-                warnings.append(
-                    f"cluster boundary at states {c.start}..{c.stop - 1} has gap "
-                    f"{g:.3e}, within 10x the degeneracy tolerance {tol:.3e}"
-                )
+    for k in np.flatnonzero(boundary_gaps <= BOUNDARY_WARNING_FACTOR * tol):
+        g = boundary_gaps[k]
+        for c in clusters[k : k + 2]:
+            warnings.append(
+                f"cluster boundary at states {c.start}..{c.stop - 1} has gap "
+                f"{g:.3e}, within 10x the degeneracy tolerance {tol:.3e}"
+            )
     return RotatedSpectrum(
         base=spectrum,
         clusters=tuple(clusters),
         cluster_slopes=slopes,
-        rotation=rotation,
+        blocks=tuple(blocks),
+        vectors=rotated,
         warnings=tuple(dict.fromkeys(warnings)),
     )
 
@@ -260,16 +282,6 @@ class HftReport:
     records: tuple[StateSlopeRecord, ...]
     worst_residual: float
     warnings: tuple[str, ...] = ()
-
-
-def _fit_step(model: ParametricModel, lam: float, h: float, reach: float, sides) -> float:
-    """h, or a smaller step when a stencil point lam + s * reach * h (s in
-    ``sides``) would leave the model's open domain."""
-    if all(model.contains(lam + s * reach * h) for s in sides):
-        return h
-    lo, hi = model.lambda_domain
-    room = min(hi - lam if s > 0 else lam - lo for s in sides)
-    return room / (reach + 1.0)
 
 
 def _oracle_references(

@@ -82,12 +82,13 @@ def six_site_rep() -> GroupRep:
 
 
 def six_site_model() -> ParametricModel:
-    """H = A + lambda * B with A and B built once per model."""
-    a = six_site_hamiltonian(0.0).entries
+    """H = A + lambda * B with A and B built once per model
+    (:meth:`SymmetricMatrix.affine`)."""
+    a = six_site_hamiltonian(0.0)
     b = six_site_derivative()
     return ParametricModel(
         dim=6,
-        hamiltonian_at=lambda lam: SymmetricMatrix(a + lam * b.entries),
+        hamiltonian_at=lambda lam: SymmetricMatrix.affine(a, lam, b),
         derivative_at=lambda lam: b,
         analytic_eigenvalues_at=six_site_analytic_eigenvalues,
         symmetry=six_site_rep(),
@@ -213,14 +214,16 @@ def oscillator_rep(n_max: int) -> GroupRep:
     index = {state: i for i, state in enumerate(basis)}
     d = len(basis)
     e = np.eye(d)
-    u1 = np.diag([(-1.0) ** (m + n) for m, n in basis])
+    parity = np.array([(-1.0) ** (m + n) for m, n in basis])
+    u1 = np.diag(parity)
     u2 = np.zeros((d, d))
     for i, (m, n) in enumerate(basis):
         u2[index[(n, m)], i] = 1.0
     return GroupRep(
         name="C2v",
         labels=("E", "C2", "sigma_v1", "sigma_v2"),
-        matrices=np.stack([e, u1, u2, u1 @ u2]),
+        # u1 @ u2 is u2 with row i scaled by parity i.
+        matrices=np.stack([e, u1, u2, parity[:, None] * u2]),
     )
 
 
@@ -230,15 +233,16 @@ def oscillator_model(
     """Truncated-basis model.  The analytic oracle is exact for the
     untruncated problem; the lowest truncated eigenvalues converge to it
     from above as n_max grows (the truncation is variational).  H0 and the
-    coupling are built once; each H(lambda) is then one scaled addition."""
+    coupling are built once; each H(lambda) is then one scaled addition
+    (:meth:`SymmetricMatrix.affine`)."""
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     exact = OscillatorAnalytic(omega=omega)
-    h0 = _oscillator_diagonal(omega, n_max)
+    h0 = SymmetricMatrix(_oscillator_diagonal(omega, n_max))
     xy = oscillator_xy_matrix(omega, n_max)
     return ParametricModel(
         dim=oscillator_dim(n_max),
-        hamiltonian_at=lambda lam: SymmetricMatrix(h0 + lam * xy.entries),
+        hamiltonian_at=lambda lam: SymmetricMatrix.affine(h0, lam, xy),
         derivative_at=lambda lam: xy,
         analytic_eigenvalues_at=lambda lam: exact.sorted_eigenvalues(lam, n_max),
         symmetry=oscillator_rep(n_max),

@@ -2,9 +2,9 @@
 and eigenpair tracking along a parameter grid.
 
 Everything here is deterministic: for a fixed input matrix LAPACK returns
-the same eigenpairs, eigenvalues are sorted with a stable sort, and each
-eigenvector's sign is fixed so that its largest-magnitude component is
-positive (ties broken by lowest index).
+the same eigenpairs, eigenvalues come out ascending, and each eigenvector's
+sign is fixed so that its largest-magnitude component is positive (ties
+broken by lowest index).
 """
 
 from __future__ import annotations
@@ -28,12 +28,23 @@ class TrackingError(RuntimeError):
     """Eigenpair matching between two spectra is ambiguous."""
 
 
+def _require_finite(a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+
+
+def _freeze(m: "SymmetricMatrix", entries: np.ndarray) -> None:
+    entries.flags.writeable = False
+    object.__setattr__(m, "entries", entries)
+
+
 @dataclass(frozen=True)
 class SymmetricMatrix:
     """A finite, exactly symmetric d x d real matrix.
 
     Inputs symmetric to within a small relative tolerance are symmetrized,
-    anything worse is rejected.  The stored array is read-only.
+    anything worse is rejected.  Entries that already equal their mirror
+    image are kept bit for bit.  The stored array is read-only.
     """
 
     entries: np.ndarray
@@ -42,15 +53,31 @@ class SymmetricMatrix:
         a = np.array(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
+        _require_finite(a)
         scale = max(1.0, float(np.abs(a).max()))
         asym = float(np.abs(a - a.T).max())
         if asym > _CONSTRUCTION_ASYM_TOL * scale:
             raise ValueError(f"matrix is not symmetric: max|A - A^T| = {asym:g}")
-        a = (a + a.T) / 2.0
-        a.flags.writeable = False
-        object.__setattr__(self, "entries", a)
+        if asym > 0.0:
+            # Halve before adding: (a + a.T) / 2 overflows near the largest double.
+            a = np.where(a == a.T, a, a / 2.0 + a.T / 2.0)
+        _freeze(self, a)
+
+    @classmethod
+    def affine(cls, a: "SymmetricMatrix", lam: float, b: "SymmetricMatrix") -> "SymmetricMatrix":
+        """A + lam * B, bitwise equal to ``SymmetricMatrix(a.entries + lam * b.entries)``.
+
+        A and B were validated when they were built and the sum of two
+        exactly symmetric matrices is exactly symmetric, so only finiteness
+        is checked here.
+        """
+        if a.dim != b.dim:
+            raise ValueError(f"cannot add a {a.dim} x {a.dim} and a {b.dim} x {b.dim} matrix")
+        m = a.entries + lam * b.entries
+        _require_finite(m)
+        out = object.__new__(cls)
+        _freeze(out, m)
+        return out
 
     @property
     def dim(self) -> int:
@@ -94,20 +121,15 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 def eigh(m: SymmetricMatrix) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix by LAPACK.
 
-    The result follows one convention: eigenvalues ascending (stable sort)
-    and the sign of every eigenvector fixed by its largest-magnitude
-    component.
+    The result follows one convention: eigenvalues ascending (as LAPACK
+    returns them) and the sign of every eigenvector fixed by its
+    largest-magnitude component.
 
     The returned Spectrum carries ``lam = nan``; use
     :meth:`ParametricModel.spectrum` to bind a parameter value.
     """
     w, v = np.linalg.eigh(m.entries)
-    order = np.argsort(w, kind="stable")
-    return Spectrum(
-        lam=math.nan,
-        eigenvalues=np.ascontiguousarray(w[order]),
-        eigenvectors=_fix_signs(v[:, order]),
-    )
+    return Spectrum(lam=math.nan, eigenvalues=w, eigenvectors=_fix_signs(v))
 
 
 def _check_step(h: float) -> None:
@@ -192,14 +214,27 @@ class ParametricModel:
         return self.hamiltonian_at(lam)
 
     def derivative(self, lam: float) -> SymmetricMatrix:
+        """dH/dlambda at lam: ``derivative_at`` when given, else a central
+        difference whose step shrinks to stay inside the domain."""
         self._require_domain(lam)
         if self.derivative_at is not None:
             return self.derivative_at(lam)
-        return fd_matrix_derivative(self, lam, self.fd_step)
+        _check_step(self.fd_step)
+        return fd_matrix_derivative(self, lam, _fit_step(self, lam, self.fd_step, 1.0, (+1, -1)))
 
     def spectrum(self, lam: float) -> Spectrum:
         s = eigh(self.hamiltonian(lam))
         return Spectrum(lam=lam, eigenvalues=s.eigenvalues, eigenvectors=s.eigenvectors)
+
+
+def _fit_step(model: ParametricModel, lam: float, h: float, reach: float, sides) -> float:
+    """h, or a smaller step when a stencil point lam + s * reach * h (s in
+    ``sides``) would leave the model's open domain."""
+    if all(model.contains(lam + s * reach * h) for s in sides):
+        return h
+    lo, hi = model.lambda_domain
+    room = min(hi - lam if s > 0 else lam - lo for s in sides)
+    return room / (reach + 1.0)
 
 
 def fd_matrix_derivative(
@@ -238,22 +273,28 @@ def match_columns(
             f"cannot match a {rows} x {k} reference against candidates of shape {candidate.shape}"
         )
     overlaps = reference.T @ candidate
+    # |overlap| of each pair; a taken candidate column is masked with -1,
+    # below every real magnitude, so argmax (first maximum, i.e. the lowest
+    # index among ties) only sees the unassigned columns.
+    mags = np.abs(overlaps)
     perm = np.empty(k, dtype=int)
     signs = np.empty(k)
-    unassigned = list(range(candidate.shape[1]))
     for j in range(k):
-        mags = np.abs(overlaps[j, unassigned])
-        order = np.argsort(-mags, kind="stable")
-        best = unassigned[order[0]]
-        if len(unassigned) > 1 and mags[order[0]] - mags[order[1]] <= ambiguity_tol:
-            raise TrackingError(
-                f"ambiguous match for state {j}: best two overlaps "
-                f"{mags[order[0]]:.6g} and {mags[order[1]]:.6g} are within "
-                f"{ambiguity_tol:g}; refine the lambda step"
-            )
+        row = mags[j]
+        best = int(row.argmax())
+        top = float(row[best])
+        if j + 1 < candidate.shape[1]:
+            row[best] = -1.0
+            second = float(row.max())
+            if top - second <= ambiguity_tol:
+                raise TrackingError(
+                    f"ambiguous match for state {j}: best two overlaps "
+                    f"{top:.6g} and {second:.6g} are within "
+                    f"{ambiguity_tol:g}; refine the lambda step"
+                )
         perm[j] = best
         signs[j] = 1.0 if overlaps[j, best] >= 0.0 else -1.0
-        unassigned.remove(best)
+        mags[j + 1 :, best] = -1.0
     return perm, signs
 
 

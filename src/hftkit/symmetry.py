@@ -14,7 +14,7 @@ scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -175,11 +175,12 @@ class IrrepLabel:
     characters: tuple[float, ...]
 
 
-def _measured_characters(v: np.ndarray, rep: GroupRep) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if abs(float(np.linalg.norm(v)) - 1.0) > _UNIT_TOL:
+def _measured_characters(columns: np.ndarray, rep: GroupRep) -> np.ndarray:
+    """<v|U(g)|v> for every unit column v of a d x k array, as an |G| x k
+    array, with one matrix product per group element."""
+    if np.any(np.abs(np.linalg.norm(columns, axis=0) - 1.0) > _UNIT_TOL):
         raise ValueError("classification requires a unit vector")
-    return np.array([float(v @ u @ v) for u in rep.matrices])
+    return np.array([np.sum(columns * (u @ columns), axis=0) for u in rep.matrices])
 
 
 def _check_compatible(rep: GroupRep, table: CharacterTable) -> None:
@@ -189,22 +190,29 @@ def _check_compatible(rep: GroupRep, table: CharacterTable) -> None:
         )
 
 
+def _labels(
+    columns: np.ndarray, rep: GroupRep, table: CharacterTable, tol: float = CLASSIFY_TOL
+) -> tuple[np.ndarray, list[Optional[str]]]:
+    """Measured characters of every column and the irrep each matches
+    within tol, None where a column matches no row."""
+    _check_compatible(rep, table)
+    chi = _measured_characters(columns, rep)
+    labels: list[Optional[str]] = [None] * chi.shape[1]
+    for label, row in table.rows.items():
+        fits = np.abs(chi - np.asarray(row)[:, None]).max(axis=0) <= tol
+        for k in np.flatnonzero(fits):
+            if labels[k] is None:
+                labels[k] = label
+    return chi, labels
+
+
 def classify_vector(
     v: np.ndarray, rep: GroupRep, table: CharacterTable, tol: float = CLASSIFY_TOL
 ) -> IrrepLabel:
     """Assign an irrep to one unit vector by matching <v|U(g)|v> against the
     table rows.  Raises :class:`ClassificationError` when nothing matches,
     which is the signature of a symmetry-mixed vector."""
-    _check_compatible(rep, table)
-    chi = _measured_characters(v, rep)
-    for label, row in table.rows.items():
-        if np.abs(chi - np.asarray(row)).max() <= tol:
-            return IrrepLabel(label=label, characters=tuple(row))
-    pretty = ", ".join(f"{c:+.4f}" for c in chi)
-    raise ClassificationError(
-        f"characters ({pretty}) match no {table.group_name} irrep within {tol:g}; "
-        f"the vector mixes different symmetries"
-    )
+    return classify(np.asarray(v, dtype=float)[:, None], rep, table, tol)[0]
 
 
 VectorSet = Union[Spectrum, np.ndarray, Sequence[np.ndarray]]
@@ -227,8 +235,15 @@ def classify(
     """Classify each eigenvector column.  For degenerate clusters the
     supplied basis must already be the derivative-consistent (or
     irrep-projected) one, otherwise mixed states will fail to classify."""
-    columns = _columns_of(states)
-    return [classify_vector(columns[:, k], rep, table, tol) for k in range(columns.shape[1])]
+    chi, labels = _labels(_columns_of(states), rep, table, tol)
+    for k, label in enumerate(labels):
+        if label is None:
+            pretty = ", ".join(f"{c:+.4f}" for c in chi[:, k])
+            raise ClassificationError(
+                f"characters ({pretty}) match no {table.group_name} irrep within {tol:g}; "
+                f"the vector mixes different symmetries"
+            )
+    return [IrrepLabel(label=label, characters=table.rows[label]) for label in labels]
 
 
 def project(

@@ -345,3 +345,33 @@ def test_main_check_rejects_nonfinite_numbers(flag, value, capsys):
     code = main(["check", "--model", "oscillator", "--nmax", "4", "--lambda", "0", flag, value])
     assert code == 2
     assert f"got {value}" in capsys.readouterr().err
+
+
+def test_main_fermi_takes_a_negative_exponent_form_bound(capsys):
+    argv = ["fermi", "--model", "oscillator", "--nmax", "6", "--np", "2",
+            "--lmin", "-0.3", "--lmax", "-7.709443216571965e-05", "--steps", "11"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    assert "error" not in err
+    table, _ = run_fermi(ScanConfig(model="oscillator", nmax=6, n_particles=2, lam_lo=-0.3,
+                                    lam_hi=-7.709443216571965e-05, steps=11))
+    assert out == table.render()
+    assert len(CsvTable.parse(out).rows) == 11
+
+
+def test_main_check_takes_a_negative_exponent_form_lambda(capsys):
+    code = main(["check", "--model", "oscillator", "--lambda", "-1e-3"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    assert "error" not in err
+    assert (code, out) == run_check(ScanConfig(model="oscillator"), -1e-3)
+    lines = out.splitlines()
+    assert lines[0] == "model oscillator at lambda=-0.001"
+    assert sum(line.startswith("state ") for line in lines) == 91
+    assert lines[-1].startswith("worst residual")
+
+
+def test_main_still_rejects_a_dash_word_as_a_value(capsys):
+    assert main(["check", "--model", "oscillator", "--lambda", "-x"]) == 2
+    assert "expected one argument" in capsys.readouterr().err

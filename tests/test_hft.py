@@ -18,7 +18,7 @@ from hftkit.hft import (
     rotated_spectrum,
 )
 from hftkit.models import oscillator_model, six_site_model
-from hftkit.spectral import SymmetricMatrix, eigh
+from hftkit.spectral import Spectrum, SymmetricMatrix, eigh
 
 
 V3 = np.array([1.0, 0.0, -1.0, 1.0, 0.0, -1.0]) / 2.0
@@ -336,3 +336,82 @@ def test_continuity_oscillator():
 def test_continuity_rejects_bad_delta():
     with pytest.raises(ValueError):
         continuity_overlap(six_site_model(), 1.0, 0.0)
+
+
+# --- the stored rotated basis ---
+
+
+def rotated_basis_cases():
+    yield rotated_spectrum(six_site_model(), 1.0)
+    yield rotated_spectrum(six_site_model(), 0.5)
+    for lam in (0.0, 0.37):
+        yield rotated_spectrum(oscillator_model(1.0, 8), lam)
+
+
+def test_stored_eigenvectors_equal_the_rotated_product():
+    for rot in rotated_basis_cases():
+        product = rot.base.eigenvectors @ rot.rotation
+        assert np.abs(rot.eigenvectors - product).max() <= 1e-14
+        for c in rot.clusters:
+            if c.size == 1:
+                assert np.array_equal(rot.eigenvectors[:, c.start], product[:, c.start])
+                base = rot.base.eigenvectors[:, c.start]
+                assert np.array_equal(rot.eigenvectors[:, c.start], base)
+        assert len(rot.blocks) == sum(c.size > 1 for c in rot.clusters)
+
+
+def test_stored_eigenvectors_are_one_read_only_array():
+    rot = rotated_spectrum(oscillator_model(1.0, 4), 0.0)
+    assert rot.eigenvectors is rot.eigenvectors
+    assert not rot.eigenvectors.flags.writeable
+    assert rot.rotation is not rot.rotation  # built on each read, the caller's to keep
+
+
+def cluster_loop_reference(w, tol):
+    # The per-index loop that clustering and the boundary warnings replaced.
+    d = len(w)
+    clusters = []
+    start = 0
+    for i in range(1, d + 1):
+        if i == d or w[i] - w[i - 1] > tol:
+            clusters.append((start, i))
+            start = i
+    warnings = []
+    for a, z in clusters:
+        gaps = ([w[a] - w[a - 1]] if a > 0 else []) + ([w[z] - w[z - 1]] if z < d else [])
+        for g in gaps:
+            if tol < g <= 10.0 * tol:
+                warnings.append(
+                    f"cluster boundary at states {a}..{z - 1} has gap "
+                    f"{g:.3e}, within 10x the degeneracy tolerance {tol:.3e}"
+                )
+    return clusters, tuple(dict.fromkeys(warnings))
+
+
+def test_clusters_and_warnings_equal_the_loop_reference():
+    rng = np.random.default_rng(11)
+    tol = 1e-8
+    for d in (1, 2, 5, 30):
+        for _ in range(20):
+            # gaps drawn from: inside a cluster, just outside (warned), well apart
+            gaps = rng.choice([0.0, 0.5 * tol, 3.0 * tol, 9.9 * tol, 1e-3], size=d - 1)
+            w = np.concatenate([[0.0], np.cumsum(gaps)])
+            spectrum = Spectrum(lam=0.0, eigenvalues=w, eigenvectors=np.eye(d))
+            hp = SymmetricMatrix(np.diag(np.arange(d, dtype=float)))
+            rot = hft_consistent_basis(spectrum, hp, tol)
+            clusters, warnings = cluster_loop_reference(w, tol)
+            assert [(c.start, c.stop) for c in rot.clusters] == clusters
+            assert [(c.start, c.stop) for c in cluster_degeneracies(w, tol)] == clusters
+            assert rot.warnings == warnings
+
+
+# --- finite-difference derivative near the domain edge ---
+
+
+@pytest.mark.parametrize("lam", [0.99995, -0.99995])
+def test_fd_derivative_model_near_the_domain_edge(lam):
+    analytic = oscillator_model(1.0, 2)
+    fd = dataclasses.replace(analytic, derivative_at=None)
+    got = rotated_spectrum(fd, lam)
+    want = rotated_spectrum(analytic, lam)
+    assert np.abs(got.cluster_slopes - want.cluster_slopes).max() <= 1e-6

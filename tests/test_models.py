@@ -229,6 +229,19 @@ def test_oscillator_rep_commutes_with_both_matrices():
     assert commutant_residual(rep, oscillator_xy_matrix(1.0, 7)) <= 1e-12
 
 
+def test_oscillator_rep_equals_the_matrix_product_build():
+    for n_max in (0, 3, 8):
+        basis = oscillator_basis(n_max)
+        index = {state: i for i, state in enumerate(basis)}
+        d = len(basis)
+        u1 = np.diag([(-1.0) ** (m + n) for m, n in basis])
+        u2 = np.zeros((d, d))
+        for i, (m, n) in enumerate(basis):
+            u2[index[(n, m)], i] = 1.0
+        want = np.stack([np.eye(d), u1, u2, u1 @ u2])
+        assert np.array_equal(oscillator_rep(n_max).matrices, want)
+
+
 def test_oscillator_rep_verifies():
     from hftkit.symmetry import verify_group
 

@@ -335,3 +335,153 @@ def test_match_columns_rejects_oversized_reference():
         match_columns(np.eye(3), np.eye(3)[:, :2])
     with pytest.raises(ValueError):
         match_columns(np.eye(3)[:2, :2], np.eye(3))
+
+
+# --- masked greedy matching against the column-by-column loop ---
+
+
+def match_columns_reference(reference, candidate, ambiguity_tol=1e-6):
+    # The greedy loop match_columns replaced: the remaining columns kept in a
+    # list, a stable argsort of -|overlap| per reference column.
+    overlaps = reference.T @ candidate
+    k = reference.shape[1]
+    perm = np.empty(k, dtype=int)
+    signs = np.empty(k)
+    unassigned = list(range(candidate.shape[1]))
+    for j in range(k):
+        mags = np.abs(overlaps[j, unassigned])
+        order = np.argsort(-mags, kind="stable")
+        best = unassigned[order[0]]
+        if len(unassigned) > 1 and mags[order[0]] - mags[order[1]] <= ambiguity_tol:
+            raise TrackingError(
+                f"ambiguous match for state {j}: best two overlaps "
+                f"{mags[order[0]]:.6g} and {mags[order[1]]:.6g} are within "
+                f"{ambiguity_tol:g}; refine the lambda step"
+            )
+        perm[j] = best
+        signs[j] = 1.0 if overlaps[j, best] >= 0.0 else -1.0
+        unassigned.remove(best)
+    return perm, signs
+
+
+def random_orthogonal(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return q
+
+
+@pytest.mark.parametrize("d", [1, 2, 6, 40])
+def test_match_columns_equals_reference_on_random_pairs(d):
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        a = random_orthogonal(rng, d)
+        # a nearby basis, shuffled and sign-flipped: a well-posed match
+        near = np.linalg.qr(a + 0.05 * rng.standard_normal((d, d)))[0]
+        b = near[:, rng.permutation(d)] * rng.choice([-1.0, 1.0], size=d)
+        for ref in (a, a[:, : max(1, d // 2)], a[:, rng.permutation(d)[: max(1, d - 1)]]):
+            got, want = match_columns(ref, b), match_columns_reference(ref, b)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_match_columns_random_unrelated_bases_agree_or_raise_alike():
+    rng = np.random.default_rng(7)
+    for d in (3, 8, 25):
+        for _ in range(10):
+            a, b = random_orthogonal(rng, d), random_orthogonal(rng, d)
+            for tol in (1e-6, 0.02):
+                try:
+                    want = match_columns_reference(a, b, tol)
+                except TrackingError as exc:
+                    with pytest.raises(TrackingError) as got:
+                        match_columns(a, b, tol)
+                    assert str(got.value) == str(exc)
+                    continue
+                got = match_columns(a, b, tol)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_match_columns_planted_exact_ties_go_to_the_lowest_index():
+    # Rows 1 and 2 tie exactly between columns 1 and 2.  Any tolerance >= 0
+    # calls a tie ambiguous, so a negative one lets the lowest-index rule
+    # decide.
+    reference = np.eye(4)
+    overlaps = np.array([
+        [0.9, 0.3, 0.3, 0.1],
+        [0.3, 0.5, 0.5, 0.1],
+        [0.1, 0.5, 0.5, 0.3],
+        [0.0, 0.0, 0.0, 0.2],
+    ])
+    for tol in (-1.0, -1e-12):
+        got, want = match_columns(reference, overlaps, tol), match_columns_reference(
+            reference, overlaps, tol)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert list(got[0]) == [0, 1, 2, 3]
+    with pytest.raises(TrackingError):
+        match_columns(reference, overlaps, 0.0)
+
+
+def test_match_columns_near_tie_message_matches_reference():
+    reference = np.eye(3)
+    candidate = np.array([
+        [0.1, 0.0, 0.9],
+        [0.6, 0.6 + 4e-7, 0.1],
+        [0.3, 0.1, 0.2],
+    ])
+    with pytest.raises(TrackingError) as want:
+        match_columns_reference(reference, candidate)
+    with pytest.raises(TrackingError) as got:
+        match_columns(reference, candidate)
+    assert str(got.value) == str(want.value)
+    assert "state 1" in str(got.value)
+
+
+# --- overflow-free symmetrization and the affine constructor ---
+
+
+def test_symmetric_matrix_keeps_entries_near_the_largest_double():
+    m = SymmetricMatrix([[1.7e308, 0.0], [0.0, 1.0]])
+    assert m.entries[0, 0] == 1.7e308
+    assert np.array_equal(eigh(m).eigenvalues, [1.0, 1.7e308])
+    # a rounding-level asymmetry next to huge entries is still averaged
+    big = SymmetricMatrix([[1.7e308, 1.7e308], [1.7e308 * (1 + 2**-52), 1.0]])
+    assert np.all(np.isfinite(big.entries))
+    assert big.entries[0, 1] == big.entries[1, 0]
+
+
+def test_symmetric_matrix_leaves_symmetric_entries_bitwise():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((7, 7))
+    a = a + a.T
+    a[0, 0] = 5e-324  # the smallest subnormal survives too
+    assert np.array_equal(SymmetricMatrix(a).entries, a)
+    skewed = a.copy()
+    skewed[1, 2] += 1e-14
+    m = SymmetricMatrix(skewed).entries
+    off = np.ones_like(a, dtype=bool)
+    off[1, 2] = off[2, 1] = False
+    assert np.array_equal(m[off], a[off])
+    assert m[1, 2] == m[2, 1] == (skewed[1, 2] + skewed[2, 1]) / 2.0
+
+
+def test_affine_is_bitwise_the_checked_constructor():
+    rng = np.random.default_rng(5)
+    for d in (1, 6, 30):
+        a, b = random_symmetric(rng, d), random_symmetric(rng, d, scale=3.0)
+        for lam in (0.0, -0.37, 1e-300, 2.5, -1e5):
+            got = SymmetricMatrix.affine(a, lam, b)
+            want = SymmetricMatrix(a.entries + lam * b.entries)
+            assert type(got) is SymmetricMatrix
+            assert np.array_equal(got.entries, want.entries)
+            assert not got.entries.flags.writeable
+
+
+def test_affine_rejects_overflow_and_mismatched_dimensions():
+    a = SymmetricMatrix(np.eye(2))
+    b = SymmetricMatrix(np.full((2, 2), 10.0))
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match="matrix entries must be finite"
+    ):
+        SymmetricMatrix.affine(a, 1e308, b)
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        SymmetricMatrix.affine(a, math.nan, b)
+    with pytest.raises(ValueError, match="cannot add"):
+        SymmetricMatrix.affine(a, 1.0, SymmetricMatrix(np.eye(3)))

@@ -171,6 +171,33 @@ def test_classify_requires_unit_vector():
         classify_vector(2.0 * V3, six_site_rep(), c2v_character_table())
 
 
+
+def test_batched_labels_equal_column_by_column_classification():
+    model = oscillator_model(1.0, 8)
+    rep, table = model.symmetry, model.character_table
+    for lam in (0.0, 0.37):
+        vectors = rotated_spectrum(model, lam).eigenvectors
+        batched = [l.label for l in classify(vectors, rep, table)]
+        one_by_one = [classify_vector(vectors[:, k], rep, table).label
+                      for k in range(vectors.shape[1])]
+        assert batched == one_by_one
+        # characters as the per-vector loop measured them, <v|U|v> one at a time
+        for k, label in enumerate(batched):
+            v = vectors[:, k]
+            chi = np.array([float(v @ u @ v) for u in rep.matrices])
+            assert np.abs(chi - np.asarray(table.rows[label])).max() <= 1e-6
+
+
+def test_classify_reports_the_first_mixed_column():
+    rep, table = six_site_rep(), c2v_character_table()
+    mixed = (V2_AT_CROSSING + V3) / math.sqrt(2.0)
+    with pytest.raises(ClassificationError) as one:
+        classify_vector(mixed, rep, table)
+    with pytest.raises(ClassificationError) as batch:
+        classify(np.stack([V3, mixed, V2_AT_CROSSING], axis=1), rep, table)
+    assert str(batch.value) == str(one.value)
+
+
 # --- projection ---
 
 
