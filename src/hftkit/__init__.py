@@ -16,7 +16,6 @@ from .spectral import (
     eigh,
     fd_derivative,
     fd_derivative_onesided,
-    fd_matrix_derivative,
     match_columns,
     track,
 )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -244,7 +244,6 @@ def _add_model_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--nmax", type=int, default=12, help="oscillator shell cutoff")
     sp.add_argument("--tol-deg", type=float, default=None, dest="tol_deg",
                     help="degeneracy clustering tolerance (default: adaptive)")
-    sp.add_argument("--fd-step", type=float, default=DEFAULT_FD_STEP, dest="fd_step")
 
 
 def _add_grid_flags(sp: argparse.ArgumentParser) -> None:
@@ -302,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="slope-identity residual report at one lambda")
     _add_model_flags(check)
+    check.add_argument("--fd-step", type=float, default=DEFAULT_FD_STEP, dest="fd_step")
     check.add_argument("--lambda", type=float, required=True, dest="lam")
 
     classify = sub.add_parser("classify", help="irrep label per state at one lambda")
@@ -318,21 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args: argparse.Namespace) -> ScanConfig:
-    return ScanConfig(
-        model=getattr(args, "model", ""),
-        omega=getattr(args, "omega", 1.0),
-        nmax=getattr(args, "nmax", 12),
-        lam_lo=getattr(args, "lam_lo", 0.0),
-        lam_hi=getattr(args, "lam_hi", 1.0),
-        steps=getattr(args, "steps", 2),
-        slopes=getattr(args, "slopes", False),
-        sorted_output=getattr(args, "sorted_output", False),
-        tol_deg=getattr(args, "tol_deg", None),
-        fd_step=getattr(args, "fd_step", DEFAULT_FD_STEP),
-        n_particles=getattr(args, "n_particles", None),
-        out=getattr(args, "out", None),
-        svg=getattr(args, "svg", None),
-    )
+    given = vars(args)
+    return ScanConfig(**{f.name: given[f.name] for f in fields(ScanConfig) if f.name in given})
 
 
 def _emit(text: str, out: Optional[str]) -> None:

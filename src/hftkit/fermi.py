@@ -80,31 +80,32 @@ def _frontier_cluster(rot: RotatedSpectrum, n_p: int):
     return c if (c.start < n_p < c.stop) else None
 
 
-def _cusp_slope_candidates(rot: RotatedSpectrum, n_p: int) -> tuple[float, float]:
-    """(smallest, largest) total slope consistent with filling n_p levels
-    when the frontier sits inside a degenerate cluster."""
+def _ground_slopes(
+    model: ParametricModel, rot: RotatedSpectrum, fill: FillingSpec, delta: float
+) -> tuple[float, float]:
+    """(left, right) derivative of the ground energy at ``rot.lam``.
+
+    Away from a frontier degeneracy both are the sum of the occupied
+    rotated-state slopes.  When the frontier sits inside a degenerate
+    cluster, the smallest and largest sums its block allows are the two
+    one-sided slopes; the block eigenvalues carry no side information, so a
+    one-sided difference of the ground energy over ``delta`` attributes them
+    to the left and right.
+    """
+    n_p = fill.n_particles
     c = _frontier_cluster(rot, n_p)
-    assert c is not None
+    if c is None:
+        slope = float(np.sum(rot.cluster_slopes[:n_p]))
+        return slope, slope
     strict = float(np.sum(rot.cluster_slopes[: c.start]))
     block = np.sort(rot.cluster_slopes[c.start : c.stop])
     k = n_p - c.start
-    return strict + float(np.sum(block[:k])), strict + float(np.sum(block[c.size - k :]))
-
-
-def _assign_sides(
-    model: ParametricModel,
-    lam0: float,
-    fill: FillingSpec,
-    low: float,
-    high: float,
-    delta: float,
-) -> tuple[float, float]:
-    """Attribute the two candidate slopes to the left/right of lam0 by a
-    one-sided difference of the ground energy (the block eigenvalues alone
-    carry no side information)."""
-    e0 = ground_energy(model, lam0, fill)
-    fd_left = (e0 - ground_energy(model, lam0 - delta, fill)) / delta
-    fd_right = (ground_energy(model, lam0 + delta, fill) - e0) / delta
+    low = strict + float(np.sum(block[:k]))
+    high = strict + float(np.sum(block[c.size - k :]))
+    lam = rot.lam
+    e0 = float(np.sum(rot.eigenvalues[:n_p]))
+    fd_left = (e0 - ground_energy(model, lam - delta, fill)) / delta
+    fd_right = (ground_energy(model, lam + delta, fill) - e0) / delta
     slope_left = low if abs(low - fd_left) <= abs(high - fd_left) else high
     slope_right = low if abs(low - fd_right) <= abs(high - fd_right) else high
     return slope_left, slope_right
@@ -122,11 +123,8 @@ def ground_slope_hft(
     """
     fill.check(model.dim)
     rot = rotated_spectrum(model, lam, tol)
-    n_p = fill.n_particles
-    if _frontier_cluster(rot, n_p) is None:
-        return float(np.sum(rot.cluster_slopes[:n_p]))
-    low, high = _cusp_slope_candidates(rot, n_p)
-    return _assign_sides(model, lam, fill, low, high, SIDE_FD_DELTA)
+    slopes = _ground_slopes(model, rot, fill, SIDE_FD_DELTA)
+    return slopes[0] if _frontier_cluster(rot, fill.n_particles) is None else slopes
 
 
 def cusp_report(
@@ -145,8 +143,7 @@ def cusp_report(
             f"no frontier degeneracy at lambda={lam0!r} for "
             f"{fill.n_particles} particles; cusp slopes are undefined there"
         )
-    low, high = _cusp_slope_candidates(rot, fill.n_particles)
-    slope_left, slope_right = _assign_sides(model, lam0, fill, low, high, delta)
+    slope_left, slope_right = _ground_slopes(model, rot, fill, delta)
     return CuspReport(
         lambda0=lam0,
         slope_left=slope_left,
@@ -233,13 +230,9 @@ def ground_state_curve(sweep: Sweep, fill: FillingSpec) -> GroundStateCurve:
     energies = np.empty_like(lams)
     slopes = np.empty_like(lams)
     tags = []
-    for k, (lam, rot) in enumerate(zip(lams, sweep)):
+    for k, rot in enumerate(sweep):
         energies[k] = float(np.sum(rot.eigenvalues[:n_p]))
-        if _frontier_cluster(rot, n_p) is None:
-            slopes[k] = float(np.sum(rot.cluster_slopes[:n_p]))
-        else:
-            low, high = _cusp_slope_candidates(rot, n_p)
-            slopes[k] = _assign_sides(model, float(lam), fill, low, high, SIDE_FD_DELTA)[0]
+        slopes[k] = _ground_slopes(model, rot, fill, SIDE_FD_DELTA)[0]
         tag = ""
         if model.symmetry is not None and model.character_table is not None:
             try:

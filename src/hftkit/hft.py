@@ -24,7 +24,6 @@ from .spectral import (
     SymmetricMatrix,
     TrackingError,
     _check_step,
-    _fit_step,
     eigh,
     fd_derivative,
     fd_derivative_onesided,
@@ -284,6 +283,16 @@ class HftReport:
     warnings: tuple[str, ...] = ()
 
 
+def _fit_step(model: ParametricModel, lam: float, h: float, reach: float, sides) -> float:
+    """h, or a smaller step when a stencil point lam + s * reach * h (s in
+    ``sides``) would leave the model's open domain."""
+    if all(model.contains(lam + s * reach * h) for s in sides):
+        return h
+    lo, hi = model.lambda_domain
+    room = min(hi - lam if s > 0 else lam - lo for s in sides)
+    return room / (reach + 1.0)
+
+
 def _oracle_references(
     model: ParametricModel, rot: RotatedSpectrum, lam: float, h: float
 ) -> np.ndarray:
@@ -329,20 +338,18 @@ def _tracked_references(
 ) -> np.ndarray:
     """Richardson central difference of eigenvalue branches, each branch
     identified by overlap with the rotated basis at lam."""
-    h = _fit_step(model, lam, h, 1.0, (+1, -1))
     vectors = rot.eigenvectors
-    branch_vals = {}
-    for x in (lam + h, lam - h, lam + h / 2.0, lam - h / 2.0):
+
+    def branch_values(x: float) -> np.ndarray:
         try:
-            branch_vals[x] = track(vectors, model.spectrum(x)).eigenvalues
+            return track(vectors, model.spectrum(x)).eigenvalues
         except TrackingError as exc:
             raise TrackingError(
                 f"branch tracking failed at lambda={x!r} while differentiating "
                 f"around {lam!r}: {exc}"
             ) from exc
-    d_h = (branch_vals[lam + h] - branch_vals[lam - h]) / (2.0 * h)
-    d_h2 = (branch_vals[lam + h / 2.0] - branch_vals[lam - h / 2.0]) / h
-    return (4.0 * d_h2 - d_h) / 3.0
+
+    return fd_derivative(branch_values, lam, _fit_step(model, lam, h, 1.0, (+1, -1)))
 
 
 def hft_report(

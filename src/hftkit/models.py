@@ -82,14 +82,10 @@ def six_site_rep() -> GroupRep:
 
 
 def six_site_model() -> ParametricModel:
-    """H = A + lambda * B with A and B built once per model
-    (:meth:`SymmetricMatrix.affine`)."""
-    a = six_site_hamiltonian(0.0)
-    b = six_site_derivative()
+    """H = A + lambda * B with A = H(0) and B = dH/dlambda."""
     return ParametricModel(
-        dim=6,
-        hamiltonian_at=lambda lam: SymmetricMatrix.affine(a, lam, b),
-        derivative_at=lambda lam: b,
+        a=six_site_hamiltonian(0.0),
+        b=six_site_derivative(),
         analytic_eigenvalues_at=six_site_analytic_eigenvalues,
         symmetry=six_site_rep(),
         character_table=c2v_character_table(),
@@ -232,18 +228,14 @@ def oscillator_model(
 ) -> ParametricModel:
     """Truncated-basis model.  The analytic oracle is exact for the
     untruncated problem; the lowest truncated eigenvalues converge to it
-    from above as n_max grows (the truncation is variational).  H0 and the
-    coupling are built once; each H(lambda) is then one scaled addition
-    (:meth:`SymmetricMatrix.affine`)."""
+    from above as n_max grows (the truncation is variational).  A is the
+    diagonal H0 and B the x*y coupling."""
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     exact = OscillatorAnalytic(omega=omega)
-    h0 = SymmetricMatrix(_oscillator_diagonal(omega, n_max))
-    xy = oscillator_xy_matrix(omega, n_max)
     return ParametricModel(
-        dim=oscillator_dim(n_max),
-        hamiltonian_at=lambda lam: SymmetricMatrix.affine(h0, lam, xy),
-        derivative_at=lambda lam: xy,
+        a=SymmetricMatrix(_oscillator_diagonal(omega, n_max)),
+        b=oscillator_xy_matrix(omega, n_max),
         analytic_eigenvalues_at=lambda lam: exact.sorted_eigenvalues(lam, n_max),
         symmetry=oscillator_rep(n_max),
         character_table=c2v_character_table(),

@@ -10,8 +10,8 @@ broken by lowest index).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -73,7 +73,9 @@ class SymmetricMatrix:
         """
         if a.dim != b.dim:
             raise ValueError(f"cannot add a {a.dim} x {a.dim} and a {b.dim} x {b.dim} matrix")
-        m = a.entries + lam * b.entries
+        # An overflow is reported by the finiteness check, not by numpy.
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = a.entries + lam * b.entries
         _require_finite(m)
         out = object.__new__(cls)
         _freeze(out, m)
@@ -137,15 +139,17 @@ def _check_step(h: float) -> None:
         raise ValueError(f"step h must be positive and finite, got {h!r}")
 
 
-def fd_derivative(f: Callable[[float], float], x0: float, h: float = DEFAULT_FD_STEP) -> float:
+def fd_derivative(f: Callable[[float], Any], x0: float, h: float = DEFAULT_FD_STEP) -> Any:
     """Richardson-extrapolated central difference, error O(h^4).
 
-    Evaluates f at x0 +- h and x0 +- h/2.  Non-finite function values are
-    rejected rather than propagated.
+    Evaluates f at x0 + h, x0 - h, x0 + h/2 and x0 - h/2, in that order.  f
+    may return a float or an array of equal shape at every point; arrays are
+    differentiated elementwise.  Non-finite function values are rejected
+    rather than propagated.
     """
     _check_step(h)
     vals = [f(x0 + h), f(x0 - h), f(x0 + h / 2.0), f(x0 - h / 2.0)]
-    if not all(math.isfinite(v) for v in vals):
+    if not np.all(np.isfinite(vals)):
         raise ValueError(f"non-finite function value near x0={x0!r}")
     d_h = (vals[0] - vals[1]) / (2.0 * h)
     d_h2 = (vals[2] - vals[3]) / h
@@ -178,25 +182,31 @@ def fd_derivative_onesided(
 
 @dataclass(frozen=True)
 class ParametricModel:
-    """A parameter-dependent symmetric operator together with its derivative.
+    """An affine family of symmetric operators, H(lambda) = A + lambda * B.
 
-    ``derivative_at`` should be the analytic d/d-lambda map when one is
-    known; when it is None a central finite difference of ``hamiltonian_at``
-    is used instead.  ``analytic_eigenvalues_at`` is an optional oracle
-    returning the exact eigenvalues in ascending order, used by report
-    generators as an independent reference.  ``lambda_domain`` is an open
-    interval.
+    ``b`` is dH/dlambda, the same matrix at every lambda.
+    ``analytic_eigenvalues_at`` is an optional oracle returning the exact
+    eigenvalues in ascending order, used by report generators as an
+    independent reference.  ``lambda_domain`` is an open interval.
     """
 
-    dim: int
-    hamiltonian_at: Callable[[float], SymmetricMatrix]
-    derivative_at: Optional[Callable[[float], SymmetricMatrix]] = None
+    a: SymmetricMatrix
+    b: SymmetricMatrix
     analytic_eigenvalues_at: Optional[Callable[[float], np.ndarray]] = None
     symmetry: Optional["GroupRep"] = None
     character_table: Optional["CharacterTable"] = None
     lambda_domain: tuple[float, float] = (-math.inf, math.inf)
     name: str = ""
-    fd_step: float = field(default=DEFAULT_FD_STEP, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.a.dim != self.b.dim:
+            raise ValueError(
+                f"A is {self.a.dim} x {self.a.dim} but B is {self.b.dim} x {self.b.dim}"
+            )
+
+    @property
+    def dim(self) -> int:
+        return self.a.dim
 
     def contains(self, lam: float) -> bool:
         lo, hi = self.lambda_domain
@@ -211,46 +221,16 @@ class ParametricModel:
 
     def hamiltonian(self, lam: float) -> SymmetricMatrix:
         self._require_domain(lam)
-        return self.hamiltonian_at(lam)
+        return SymmetricMatrix.affine(self.a, lam, self.b)
 
     def derivative(self, lam: float) -> SymmetricMatrix:
-        """dH/dlambda at lam: ``derivative_at`` when given, else a central
-        difference whose step shrinks to stay inside the domain."""
+        """dH/dlambda at lam, which is B."""
         self._require_domain(lam)
-        if self.derivative_at is not None:
-            return self.derivative_at(lam)
-        _check_step(self.fd_step)
-        return fd_matrix_derivative(self, lam, _fit_step(self, lam, self.fd_step, 1.0, (+1, -1)))
+        return self.b
 
     def spectrum(self, lam: float) -> Spectrum:
         s = eigh(self.hamiltonian(lam))
         return Spectrum(lam=lam, eigenvalues=s.eigenvalues, eigenvectors=s.eigenvectors)
-
-
-def _fit_step(model: ParametricModel, lam: float, h: float, reach: float, sides) -> float:
-    """h, or a smaller step when a stencil point lam + s * reach * h (s in
-    ``sides``) would leave the model's open domain."""
-    if all(model.contains(lam + s * reach * h) for s in sides):
-        return h
-    lo, hi = model.lambda_domain
-    room = min(hi - lam if s > 0 else lam - lo for s in sides)
-    return room / (reach + 1.0)
-
-
-def fd_matrix_derivative(
-    model: ParametricModel, lam0: float, h: float = DEFAULT_FD_STEP
-) -> SymmetricMatrix:
-    """Entrywise central difference of the model Hamiltonian; exact for
-    matrices affine in lambda (up to rounding)."""
-    _check_step(h)
-    for x in (lam0 - h, lam0 + h):
-        if not model.contains(x):
-            raise ValueError(
-                f"lambda0 +- h = {x!r} falls outside the model domain {model.lambda_domain}"
-            )
-    hi = model.hamiltonian_at(lam0 + h).entries
-    lo = model.hamiltonian_at(lam0 - h).entries
-    return SymmetricMatrix((hi - lo) / (2.0 * h))
 
 
 def match_columns(

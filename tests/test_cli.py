@@ -206,7 +206,7 @@ def test_classify_oscillator_ground_state():
 
 def _rep_less_model():
     return ParametricModel(
-        dim=2, hamiltonian_at=lambda lam: SymmetricMatrix(np.diag([0.0, 1.0]))
+        a=SymmetricMatrix(np.diag([0.0, 1.0])), b=SymmetricMatrix(np.zeros((2, 2)))
     )
 
 
@@ -218,9 +218,8 @@ def _mixed_cluster_model():
     table = CharacterTable(group_name="Z2", element_order=("E", "P"),
                            rows={"A": (1, 1), "B": (1, -1)})
     return ParametricModel(
-        dim=2,
-        hamiltonian_at=lambda lam: SymmetricMatrix(lam * np.eye(2)),
-        derivative_at=lambda lam: SymmetricMatrix(np.eye(2)),
+        a=SymmetricMatrix(np.zeros((2, 2))),
+        b=SymmetricMatrix(np.eye(2)),
         symmetry=rep,
         character_table=table,
         name="iso",
@@ -345,6 +344,27 @@ def test_main_check_rejects_nonfinite_numbers(flag, value, capsys):
     code = main(["check", "--model", "oscillator", "--nmax", "4", "--lambda", "0", flag, value])
     assert code == 2
     assert f"got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["scan", "--lmin", "0.5", "--lmax", "1.5"],
+    ["fermi", "--np", "2", "--lmin", "0.5", "--lmax", "1.5"],
+    ["classify", "--lambda", "0.5"],
+    ["crossings", "--np", "2", "--lmin", "0.5", "--lmax", "1.5"],
+], ids=["scan", "fermi", "classify", "crossings"])
+def test_fd_step_is_a_check_option_only(command, capsys):
+    code = main(command + ["--model", "six-site", "--fd-step", "nan"])
+    assert code == 2
+    assert "unrecognized arguments: --fd-step nan" in capsys.readouterr().err
+
+
+def test_main_check_takes_an_fd_step(capsys):
+    code = main(["check", "--model", "six-site", "--lambda", "0.7", "--fd-step", "1e-3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == run_check(ScanConfig(model="six-site", fd_step=1e-3), 0.7)[1]
+    assert out != run_check(ScanConfig(model="six-site"), 0.7)[1]
+    assert out.splitlines()[-1].endswith("PASS")
 
 
 def test_main_fermi_takes_a_negative_exponent_form_bound(capsys):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import hftkit.fermi
 import hftkit.hft
 from hftkit.cli import ScanConfig, run_fermi
 from hftkit.fermi import (
@@ -80,11 +81,7 @@ def test_ground_slope_full_filling_equals_nonzero_trace():
     a = rng.standard_normal((5, 5))
     b = rng.standard_normal((5, 5))
     a, b = (a + a.T) / 2.0, (b + b.T) / 2.0
-    model = ParametricModel(
-        dim=5,
-        hamiltonian_at=lambda lam: SymmetricMatrix(a + lam * b),
-        derivative_at=lambda lam: SymmetricMatrix(b),
-    )
+    model = ParametricModel(a=SymmetricMatrix(a), b=SymmetricMatrix(b))
     got = ground_slope_hft(model, 0.37, FillingSpec(5))
     assert abs(got - np.trace(b)) <= 1e-12
 
@@ -152,6 +149,20 @@ def test_cusp_report_candidate_structure():
     candidates = sorted(strict + b for b in report.cluster_slopes)
     got = sorted((report.slope_left, report.slope_right))
     assert got == pytest.approx(candidates, abs=1e-8)
+
+
+def test_cusp_report_takes_e0_at_the_cusp_from_its_own_spectrum(monkeypatch):
+    calls = []
+    original = hftkit.fermi.ground_energy
+
+    def counting(model, lam, fill):
+        calls.append(lam)
+        return original(model, lam, fill)
+
+    monkeypatch.setattr(hftkit.fermi, "ground_energy", counting)
+    report = cusp_report(six_site_model(), 1.0, TWO, delta=1e-3)
+    assert calls == [1.0 - 1e-3, 1.0 + 1e-3]
+    assert abs(report.slope_left - (-1.0 / 3.0)) <= 1e-10
 
 
 def test_cusp_report_requires_frontier_degeneracy():

@@ -16,9 +16,10 @@ from hftkit.hft import (
     mixed_slope,
     offdiag_identity_residual,
     rotated_spectrum,
+    _tracked_references,
 )
 from hftkit.models import oscillator_model, six_site_model
-from hftkit.spectral import Spectrum, SymmetricMatrix, eigh
+from hftkit.spectral import Spectrum, SymmetricMatrix, eigh, track
 
 
 V3 = np.array([1.0, 0.0, -1.0, 1.0, 0.0, -1.0]) / 2.0
@@ -405,13 +406,22 @@ def test_clusters_and_warnings_equal_the_loop_reference():
             assert rot.warnings == warnings
 
 
-# --- finite-difference derivative near the domain edge ---
+# --- tracked-branch references through fd_derivative ---
 
 
-@pytest.mark.parametrize("lam", [0.99995, -0.99995])
-def test_fd_derivative_model_near_the_domain_edge(lam):
-    analytic = oscillator_model(1.0, 2)
-    fd = dataclasses.replace(analytic, derivative_at=None)
-    got = rotated_spectrum(fd, lam)
-    want = rotated_spectrum(analytic, lam)
-    assert np.abs(got.cluster_slopes - want.cluster_slopes).max() <= 1e-6
+def inline_richardson_reference(model, rot, lam, h):
+    # The Richardson difference that _tracked_references wrote out inline.
+    branch_vals = {}
+    for x in (lam + h, lam - h, lam + h / 2.0, lam - h / 2.0):
+        branch_vals[x] = track(rot.eigenvectors, model.spectrum(x)).eigenvalues
+    d_h = (branch_vals[lam + h] - branch_vals[lam - h]) / (2.0 * h)
+    d_h2 = (branch_vals[lam + h / 2.0] - branch_vals[lam - h / 2.0]) / h
+    return (4.0 * d_h2 - d_h) / 3.0
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.7, 1.0, 1.6])
+def test_tracked_references_are_bitwise_the_inline_richardson(lam):
+    plain = dataclasses.replace(six_site_model(), analytic_eigenvalues_at=None)
+    rot = rotated_spectrum(plain, lam)
+    got = _tracked_references(plain, rot, lam, 1e-4)
+    assert np.array_equal(got, inline_richardson_reference(plain, rot, lam, 1e-4))

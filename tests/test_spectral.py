@@ -4,8 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hftkit.models import oscillator_xy_matrix, six_site_model
+from hftkit.models import (
+    oscillator_matrix,
+    oscillator_model,
+    oscillator_xy_matrix,
+    six_site_hamiltonian,
+    six_site_model,
+)
 from hftkit.spectral import (
     ParametricModel,
     Spectrum,
@@ -15,7 +22,6 @@ from hftkit.spectral import (
     eigh,
     fd_derivative,
     fd_derivative_onesided,
-    fd_matrix_derivative,
     match_columns,
     track,
 )
@@ -181,10 +187,8 @@ def test_fd_derivative_rejects_nonfinite():
 
 @pytest.mark.parametrize("h", [math.inf, math.nan, -1e-4, 0.0])
 def test_fd_steps_must_be_positive_and_finite(h):
-    model = six_site_model()
     for call in (lambda: fd_derivative(math.sin, 1.0, h),
-                 lambda: fd_derivative_onesided(math.sin, 1.0, h, side=+1),
-                 lambda: fd_matrix_derivative(model, 1.0, h)):
+                 lambda: fd_derivative_onesided(math.sin, 1.0, h, side=+1)):
         with pytest.raises(ValueError, match=f"step h .* got {h!r}"):
             call()
 
@@ -198,55 +202,50 @@ def test_fd_onesided_matches_analytic():
         fd_derivative_onesided(lambda x: x, 0.0, 1e-4, side=0)
 
 
-# --- matrix finite differences ---
-
-
-def test_fd_matrix_derivative_six_site():
-    model = six_site_model()
-    expected = np.zeros((6, 6))
-    for i, j in ((0, 5), (2, 3)):
-        expected[i, j] = expected[j, i] = 1.0
-    for lam0 in (0.3, 1.0, 1.7):
-        got = fd_matrix_derivative(model, lam0, 1e-4)
-        assert np.abs(got.entries - expected).max() <= 1e-9
-
-
-def test_fd_matrix_derivative_oscillator():
-    from hftkit.models import oscillator_model
-
-    model = oscillator_model(1.0, 4)
-    got = fd_matrix_derivative(model, 0.3, 1e-4)
-    assert np.abs(got.entries - oscillator_xy_matrix(1.0, 4).entries).max() <= 1e-9
-
-
-def test_fd_matrix_derivative_constant_model():
-    model = ParametricModel(dim=3, hamiltonian_at=lambda lam: SymmetricMatrix(np.diag([1.0, 2.0, 3.0])))
-    got = fd_matrix_derivative(model, 0.0, 1e-4)
-    assert np.abs(got.entries).max() == 0.0
-
-
-def test_fd_matrix_derivative_respects_domain():
-    model = six_site_model()  # domain (0, inf)
-    with pytest.raises(ValueError, match="domain"):
-        fd_matrix_derivative(model, 5e-5, 1e-4)
-
-
 # --- parametric model plumbing ---
 
 
-def test_analytic_derivative_agrees_with_fd():
-    for model, lam in ((six_site_model(), 0.8),):
-        fd = fd_matrix_derivative(model, lam, 1e-4)
-        assert np.abs(model.derivative(lam).entries - fd.entries).max() <= 1e-6
+def test_builtin_derivatives_are_central_differences_of_the_direct_builds():
+    h = 1e-4
+
+    def central(build, lam):
+        return (build(lam + h).entries - build(lam - h).entries) / (2.0 * h)
+
+    six = six_site_model()
+    for lam in (0.3, 0.8, 1.7):
+        fd = central(six_site_hamiltonian, lam)
+        assert np.abs(six.derivative(lam).entries - fd).max() <= 1e-9
+    osc = oscillator_model(1.0, 4)
+    for lam in (-0.5, 0.0, 0.3):
+        fd = central(lambda x: oscillator_matrix(1.0, x, 4), lam)
+        assert np.abs(osc.derivative(lam).entries - fd).max() <= 1e-9
+    assert np.array_equal(osc.b.entries, oscillator_xy_matrix(1.0, 4).entries)
 
 
-def test_model_without_derivative_falls_back_to_fd():
-    model = ParametricModel(
-        dim=2,
-        hamiltonian_at=lambda lam: SymmetricMatrix([[lam, 1.0], [1.0, -lam]]),
-    )
-    got = model.derivative(0.4)
-    assert np.abs(got.entries - np.diag([1.0, -1.0])).max() <= 1e-9
+def test_model_rejects_mismatched_a_and_b():
+    with pytest.raises(ValueError, match=r"A is 3 x 3 but B is 2 x 2"):
+        ParametricModel(a=SymmetricMatrix(np.eye(3)), b=SymmetricMatrix(np.eye(2)))
+
+
+def test_model_derivative_is_b_inside_the_domain():
+    model = six_site_model()
+    for lam in (0.1, 1.0, 7.5):
+        assert model.derivative(lam) is model.b
+    for lam in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="domain"):
+            model.derivative(lam)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8),
+       lam=st.floats(-1e3, 1e3, allow_nan=False))
+def test_model_hamiltonian_is_bitwise_a_plus_lambda_b(seed, dim, lam):
+    rng = np.random.default_rng(seed)
+    a, b = random_symmetric(rng, dim), random_symmetric(rng, dim, scale=3.0)
+    model = ParametricModel(a=a, b=b)
+    assert model.dim == dim
+    want = SymmetricMatrix(a.entries + lam * b.entries)
+    assert np.array_equal(model.hamiltonian(lam).entries, want.entries)
 
 
 def test_model_domain_enforced():
@@ -477,9 +476,7 @@ def test_affine_is_bitwise_the_checked_constructor():
 def test_affine_rejects_overflow_and_mismatched_dimensions():
     a = SymmetricMatrix(np.eye(2))
     b = SymmetricMatrix(np.full((2, 2), 10.0))
-    with np.errstate(over="ignore"), pytest.raises(
-        ValueError, match="matrix entries must be finite"
-    ):
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
         SymmetricMatrix.affine(a, 1e308, b)
     with pytest.raises(ValueError, match="matrix entries must be finite"):
         SymmetricMatrix.affine(a, math.nan, b)
