@@ -166,7 +166,12 @@ def run_fermi(config: ScanConfig) -> tuple[CsvTable, dict[str, str]]:
     for lam, e0, de0 in zip(curve.lambdas, curve.energies, curve.slopes):
         table.append((lam, e0, de0))
 
-    cusps = [cusp_report(model, lam0, fill, sweep.tol) for lam0 in find_crossings(sweep, fill)]
+    # A crossing on a grid point is read from the sweep, not rotated again.
+    on_grid = {float(lam): k for k, lam in enumerate(sweep.lambdas)}
+    cusps = [
+        cusp_report(model, sweep[on_grid[lam0]] if lam0 in on_grid else lam0, fill, sweep.tol)
+        for lam0 in find_crossings(sweep, fill)
+    ]
     for c in cusps:
         table.comments.append(
             f"# cusp,{_fmt(c.lambda0)},{_fmt(c.slope_left)},{_fmt(c.slope_right)}"

@@ -4,24 +4,31 @@ Filling a fixed number of the lowest single-particle levels makes the total
 energy continuous in the parameter but kinks it wherever two levels cross at
 the occupation frontier.  The two one-sided slopes at such a cusp are not
 arbitrary: they are sums of occupied-state slopes where the frontier
-contribution is an eigenvalue of the degenerate cluster's dH/dlambda block.
-This module locates frontier crossings by tracked-branch bisection and
-reports both cusp slopes.
+contribution is an eigenvalue of the degenerate cluster's dH/dlambda block,
+the largest ones on the left and the smallest on the right.
+
+This module locates frontier crossings along tracked branches.  The gap
+between the tracked empty and occupied frontier states changes sign at a
+crossing, and its derivative is the difference of their Hellmann-Feynman
+slopes, so each sign change is refined by Newton steps on the gap inside the
+bracket.  Where a tracked state is degenerate, its branch is followed in the
+basis that diagonalizes dH/dlambda in the degenerate subspace, the basis that
+continues the branches.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
-from .hft import RotatedSpectrum, Sweep, rotated_spectrum
+from .hft import RotatedSpectrum, Sweep, hft_consistent_basis, rotated_spectrum
 from .spectral import ParametricModel, TrackingError, track
 from .symmetry import ClassificationError, classify_vector
 
 BISECTION_WIDTH = 1e-10
-SIDE_FD_DELTA = 1e-4
 
 
 @dataclass(frozen=True)
@@ -80,17 +87,15 @@ def _frontier_cluster(rot: RotatedSpectrum, n_p: int):
     return c if (c.start < n_p < c.stop) else None
 
 
-def _ground_slopes(
-    model: ParametricModel, rot: RotatedSpectrum, fill: FillingSpec, delta: float
-) -> tuple[float, float]:
+def _ground_slopes(rot: RotatedSpectrum, fill: FillingSpec) -> tuple[float, float]:
     """(left, right) derivative of the ground energy at ``rot.lam``.
 
     Away from a frontier degeneracy both are the sum of the occupied
     rotated-state slopes.  When the frontier sits inside a degenerate
-    cluster, the smallest and largest sums its block allows are the two
-    one-sided slopes; the block eigenvalues carry no side information, so a
-    one-sided difference of the ground energy over ``delta`` attributes them
-    to the left and right.
+    cluster, the ground energy is the lowest of the branch sums that meet
+    there, so it is concave: just left of the crossing the occupied cluster
+    states are those with the largest block eigenvalues, just right of it
+    those with the smallest.
     """
     n_p = fill.n_particles
     c = _frontier_cluster(rot, n_p)
@@ -102,13 +107,7 @@ def _ground_slopes(
     k = n_p - c.start
     low = strict + float(np.sum(block[:k]))
     high = strict + float(np.sum(block[c.size - k :]))
-    lam = rot.lam
-    e0 = float(np.sum(rot.eigenvalues[:n_p]))
-    fd_left = (e0 - ground_energy(model, lam - delta, fill)) / delta
-    fd_right = (ground_energy(model, lam + delta, fill) - e0) / delta
-    slope_left = low if abs(low - fd_left) <= abs(high - fd_left) else high
-    slope_right = low if abs(low - fd_right) <= abs(high - fd_right) else high
-    return slope_left, slope_right
+    return high, low
 
 
 def ground_slope_hft(
@@ -123,29 +122,33 @@ def ground_slope_hft(
     """
     fill.check(model.dim)
     rot = rotated_spectrum(model, lam, tol)
-    slopes = _ground_slopes(model, rot, fill, SIDE_FD_DELTA)
+    slopes = _ground_slopes(rot, fill)
     return slopes[0] if _frontier_cluster(rot, fill.n_particles) is None else slopes
 
 
 def cusp_report(
     model: ParametricModel,
-    lam0: float,
+    point: Union[float, RotatedSpectrum],
     fill: FillingSpec,
     tol: Optional[float] = None,
-    delta: float = SIDE_FD_DELTA,
 ) -> CuspReport:
-    """Resolve the two one-sided ground-energy slopes at a frontier crossing."""
+    """Resolve the two one-sided ground-energy slopes at a frontier crossing.
+
+    ``point`` is the crossing's lambda, or the model's rotated spectrum
+    there (a :class:`Sweep` point, say), which is read as it is instead of
+    being diagonalized again; ``tol`` applies to a lambda only.
+    """
     fill.check(model.dim)
-    rot = rotated_spectrum(model, lam0, tol)
+    rot = point if isinstance(point, RotatedSpectrum) else rotated_spectrum(model, point, tol)
     c = _frontier_cluster(rot, fill.n_particles)
     if c is None:
         raise ValueError(
-            f"no frontier degeneracy at lambda={lam0!r} for "
+            f"no frontier degeneracy at lambda={rot.lam!r} for "
             f"{fill.n_particles} particles; cusp slopes are undefined there"
         )
-    slope_left, slope_right = _ground_slopes(model, rot, fill, delta)
+    slope_left, slope_right = _ground_slopes(rot, fill)
     return CuspReport(
-        lambda0=lam0,
+        lambda0=rot.lam,
         slope_left=slope_left,
         slope_right=slope_right,
         cluster_slopes=tuple(float(s) for s in rot.cluster_slopes[c.start : c.stop]),
@@ -153,25 +156,69 @@ def cusp_report(
     )
 
 
-def _branch_eigenvalue(model: ParametricModel, lam: float, column: np.ndarray) -> float:
-    """Eigenvalue of the branch whose eigenvector continues the d x 1 ``column``."""
+def _branch(
+    model: ParametricModel, lam: float, column: np.ndarray, tol: float
+) -> tuple[float, np.ndarray]:
+    """Energy and eigenvector at lam of the branch whose eigenvector
+    continues the d x 1 ``column``.
+
+    The branch is tracked in the spectrum at lam.  When that match is
+    ambiguous, or lands on a state degenerate within ``tol``, whose raw
+    eigenvector is an arbitrary mixture of the branches that meet there,
+    the branch is tracked again in the same spectrum rotated by
+    :func:`hft_consistent_basis`.  Its energy is then the Rayleigh quotient
+    of the rotated column: inside a cluster the rotated columns carry
+    sorted, not per-branch, eigenvalues.
+    """
+    spectrum = model.spectrum(lam)
+    w = spectrum.eigenvalues
     try:
-        return float(track(column, model.spectrum(lam)).eigenvalues[0])
-    except TrackingError as exc:
-        raise TrackingError(
-            f"cannot tell which branch continues the tracked frontier state at "
-            f"lambda={lam!r}: the frontier state is degenerate there"
-        ) from exc
+        tracked = track(column, spectrum)
+        energy = float(tracked.eigenvalues[0])
+        unresolved = np.count_nonzero(np.abs(w - energy) <= tol) > 1
+    except TrackingError:
+        unresolved = True
+    if unresolved:
+        try:
+            tracked = track(column, hft_consistent_basis(spectrum, model.b, tol))
+        except TrackingError as exc:
+            raise TrackingError(
+                f"cannot tell which branch continues the tracked frontier state at "
+                f"lambda={lam!r}, neither in the eigenbasis nor in the "
+                f"Hellmann-Feynman basis there"
+            ) from exc
+        energy = float(np.square(spectrum.eigenvectors.T @ tracked.eigenvectors[:, 0]) @ w)
+    return energy, tracked.eigenvectors[:, 0]
 
 
 def find_crossings(sweep: Sweep, fill: FillingSpec) -> list[float]:
     """Locate frontier level crossings in the span of the sweep's grid.
 
     The frontier gap is followed along tracked branches (sorted order would
-    smooth symmetry-allowed crossings over instead of detecting them); each
-    sign change is bisected down to an interval of width ``BISECTION_WIDTH``.
-    Grid points already sitting on a frontier degeneracy are reported
-    directly.
+    smooth symmetry-allowed crossings over instead of detecting them): the
+    states occupied and empty at an interval's left grid point are tracked
+    to its right end, and a negative gap there brackets a crossing.  The
+    gap's derivative is the difference of the two states' Hellmann-Feynman
+    slopes v.Bv, read from the sweep at the left end and from the tracked
+    columns elsewhere, so the crossing is refined by Newton steps on the
+    gap.  A step that would leave the bracket, or that is not below half
+    the step before last, is replaced by bisection.  Refinement stops when
+    the Newton correction is at most ``BISECTION_WIDTH / 2`` or the bracket
+    is at most ``BISECTION_WIDTH`` wide.  Grid points already sitting on a
+    frontier degeneracy are reported directly.
+
+    Where a probe point is degenerate, its eigenvectors are an arbitrary
+    basis of the degenerate subspace, and the branches are followed in the
+    basis that diagonalizes dH/dlambda there; the degeneracy tolerance of
+    an interval is that of its left grid point.  A frontier pair that this
+    basis resolves within the tolerance is a crossing: an avoided crossing
+    whose gap is below the tolerance is located where its Hellmann-Feynman
+    branches cross, whatever the grid.
+
+    A probe at which both frontier states continue into one state raises
+    :class:`TrackingError`: the grid is too coarse to follow them there.  A
+    grid interval that holds two frontier crossings can hide one or both
+    of them from the sign test; a finer grid finds them.
     """
     model = sweep.model
     fill.check(model.dim)
@@ -185,6 +232,7 @@ def find_crossings(sweep: Sweep, fill: FillingSpec) -> list[float]:
         return []  # full filling has no frontier
 
     rots = list(sweep)
+    b = model.b.entries
 
     crossings: list[float] = []
     exact_hits = set()
@@ -196,28 +244,66 @@ def find_crossings(sweep: Sweep, fill: FillingSpec) -> list[float]:
     for i in range(len(grid) - 1):
         if i in exact_hits or (i + 1) in exact_hits:
             continue
-        vectors = rots[i].eigenvectors
+        rot = rots[i]
+        vectors = rot.eigenvectors
         vec_occ = vectors[:, n_p - 1 : n_p]
         vec_emp = vectors[:, n_p : n_p + 1]
+        tol = rot.clusters[0].tol_used
 
-        def gap(lam: float) -> float:
-            return _branch_eigenvalue(model, lam, vec_emp) - _branch_eigenvalue(
-                model, lam, vec_occ
-            )
+        def probe(lam: float) -> tuple[float, float]:
+            """Tracked frontier gap at lam and its derivative."""
+            e_occ, v_occ = _branch(model, lam, vec_occ, tol)
+            e_emp, v_emp = _branch(model, lam, vec_emp, tol)
+            if abs(v_occ @ v_emp) > 0.5:
+                raise TrackingError(
+                    f"both tracked frontier states continue into one state at "
+                    f"lambda={lam!r}; a finer grid may tell them apart"
+                )
+            return e_emp - e_occ, float(v_emp @ b @ v_emp - v_occ @ b @ v_occ)
 
-        hi_gap = gap(float(grid[i + 1]))
-        if hi_gap >= 0.0:
-            continue  # no order swap in this interval
         lo, hi = float(grid[i]), float(grid[i + 1])
-        while hi - lo > BISECTION_WIDTH:
-            mid = 0.5 * (lo + hi)
-            if gap(mid) >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        crossings.append(0.5 * (lo + hi))
+        g_hi, dg_hi = probe(hi)
+        if g_hi >= 0.0:
+            continue  # no order swap in this interval
+        g_lo = float(rot.eigenvalues[n_p] - rot.eigenvalues[n_p - 1])
+        dg_lo = float(rot.cluster_slopes[n_p] - rot.cluster_slopes[n_p - 1])
+        crossings.append(_refine(probe, lo, hi, (g_lo, dg_lo), (g_hi, dg_hi)))
 
     return sorted(crossings)
+
+
+def _refine(probe, lo: float, hi: float, at_lo, at_hi) -> float:
+    """Zero of the gap in [lo, hi], where it falls from positive to negative.
+
+    ``at_lo`` and ``at_hi`` are the (gap, derivative) pairs at the ends;
+    Newton starts from the end with the smaller gap.  Safeguarded Newton
+    after Brent (1973): the bracket is kept, and a Newton step that would
+    leave it, or that is not below half the step before last, gives way to
+    a bisection step.
+    """
+    x, (g, dg) = (lo, at_lo) if at_lo[0] < -at_hi[0] else (hi, at_hi)
+    last = before_last = hi - lo
+    while True:
+        if dg != 0.0:
+            step = g / dg
+        else:
+            step = 0.0 if g == 0.0 else math.inf
+        newton = lo <= x - step <= hi and abs(step) <= 0.5 * before_last
+        if newton and abs(step) <= 0.5 * BISECTION_WIDTH:
+            return x - step
+        if hi - lo <= BISECTION_WIDTH:
+            return 0.5 * (lo + hi)
+        if newton:
+            x -= step
+        else:
+            step = 0.5 * (hi - lo)
+            x = lo + step
+        before_last, last = last, abs(step)
+        g, dg = probe(x)
+        if g >= 0.0:
+            lo = x
+        else:
+            hi = x
 
 
 def ground_state_curve(sweep: Sweep, fill: FillingSpec) -> GroundStateCurve:
@@ -232,7 +318,7 @@ def ground_state_curve(sweep: Sweep, fill: FillingSpec) -> GroundStateCurve:
     tags = []
     for k, rot in enumerate(sweep):
         energies[k] = float(np.sum(rot.eigenvalues[:n_p]))
-        slopes[k] = _ground_slopes(model, rot, fill, SIDE_FD_DELTA)[0]
+        slopes[k] = _ground_slopes(rot, fill)[0]
         tag = ""
         if model.symmetry is not None and model.character_table is not None:
             try:

@@ -179,7 +179,7 @@ def test_criterion_9_fermi_cusp_and_figures(tmp_path):
     model = six_site_model()
     fill = FillingSpec(2)
     # 36 steps put no grid point on the crossing, so this exercises the
-    # tracked-branch bisection rather than the exact-grid shortcut
+    # tracked-branch refinement rather than the exact-grid shortcut
     found = find_crossings(Sweep(model, np.linspace(0.2, 2.0, 36)), fill)
     assert len(found) == 1 and abs(found[0] - 1.0) <= 1e-8
     report = cusp_report(model, found[0], fill)

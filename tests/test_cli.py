@@ -14,6 +14,8 @@ from hftkit.cli import (
     run_fermi,
     run_scan,
 )
+from hftkit.fermi import FillingSpec, cusp_report
+from hftkit.models import oscillator_model
 from hftkit.spectral import ParametricModel, SymmetricMatrix
 from hftkit.symmetry import CharacterTable, GroupRep
 
@@ -311,17 +313,23 @@ def test_main_tracking_failure_is_exit_one(monkeypatch, capsys):
     assert "ambiguous in [" in err and "--steps" in err
 
 
-def test_main_crossings_degenerate_bisection_point_names_lambda(capsys):
-    # A bisection midpoint lands on lambda=0, where the oscillator's shells
-    # are degenerate; more grid steps cannot resolve that, so the message
-    # must not suggest them.
-    code = main(["crossings", "--model", "oscillator", "--nmax", "8", "--np", "2",
-                 "--lmin", "-0.5", "--lmax", "0.5", "--steps", "10"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "lambda=0" in err and "degenerate" in err
-    assert "rerun with more grid steps" not in err
-    assert "refine the lambda step" not in err
+@pytest.mark.parametrize("steps, n_p", [
+    # a refinement probe lands on lambda=0, where the oscillator's shells
+    # are degenerate
+    (10, 2), (10, 4), (10, 5),
+    # lambda=0 is a grid end, and a tracked state lies inside a shell that
+    # is not at the frontier
+    (11, 1), (11, 3), (11, 6),
+])
+def test_main_crossings_through_the_degenerate_shells_at_zero(steps, n_p, capsys):
+    code = main(["crossings", "--model", "oscillator", "--nmax", "8", "--np", str(n_p),
+                 "--lmin", "-0.5", "--lmax", "0.5", "--steps", str(steps)])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    model = oscillator_model(n_max=8)
+    for line in out.splitlines():
+        report = cusp_report(model, float(line), FillingSpec(n_p))
+        assert report.slope_left >= report.slope_right
 
 
 @pytest.mark.parametrize("lam", ["0.99995", "-0.99995"])

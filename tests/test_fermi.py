@@ -10,16 +10,24 @@ import hftkit.fermi
 import hftkit.hft
 from hftkit.cli import ScanConfig, run_fermi
 from hftkit.fermi import (
+    BISECTION_WIDTH,
     FillingSpec,
+    _frontier_cluster,
     cusp_report,
     find_crossings,
     ground_energy,
     ground_slope_hft,
     ground_state_curve,
 )
-from hftkit.hft import Sweep
+from hftkit.hft import Sweep, rotated_spectrum
 from hftkit.models import oscillator_model, six_site_model
-from hftkit.spectral import fd_derivative
+from hftkit.spectral import (
+    ParametricModel,
+    SymmetricMatrix,
+    TrackingError,
+    fd_derivative,
+    track,
+)
 
 
 TWO = FillingSpec(2)
@@ -151,7 +159,7 @@ def test_cusp_report_candidate_structure():
     assert got == pytest.approx(candidates, abs=1e-8)
 
 
-def test_cusp_report_takes_e0_at_the_cusp_from_its_own_spectrum(monkeypatch):
+def test_cusp_report_takes_sides_from_concavity_without_ground_energy_calls(monkeypatch):
     calls = []
     original = hftkit.fermi.ground_energy
 
@@ -160,9 +168,18 @@ def test_cusp_report_takes_e0_at_the_cusp_from_its_own_spectrum(monkeypatch):
         return original(model, lam, fill)
 
     monkeypatch.setattr(hftkit.fermi, "ground_energy", counting)
-    report = cusp_report(six_site_model(), 1.0, TWO, delta=1e-3)
-    assert calls == [1.0 - 1e-3, 1.0 + 1e-3]
+    report = cusp_report(six_site_model(), 1.0, TWO)
+    assert calls == []
+    assert report.slope_left >= report.slope_right
     assert abs(report.slope_left - (-1.0 / 3.0)) <= 1e-10
+
+
+def test_cusp_report_reads_a_rotated_point_as_it_is(monkeypatch):
+    model = six_site_model()
+    rot = rotated_spectrum(model, 1.0)
+    lambdas = _count_rotations(monkeypatch)
+    assert cusp_report(model, rot, TWO) == cusp_report(model, 1.0, TWO)
+    assert lambdas == [1.0]  # the second call only
 
 
 def test_cusp_report_requires_frontier_degeneracy():
@@ -242,18 +259,157 @@ def test_curve_and_crossings_share_one_sweep(monkeypatch):
     assert len(lambdas) == 19
 
 
-@pytest.mark.parametrize("model, lo, hi, steps, n_p", [
-    ("six-site", 0.2, 2.0, 19, 2),
-    ("oscillator", 0.1, 0.7, 15, 3),
-    ("oscillator", -0.5, 0.5, 11, 2),
+@pytest.mark.parametrize("model, lo, hi, steps, n_p, rotations", [
+    ("six-site", 0.2, 2.0, 19, 2, 19),  # the cusp at 1.0 is a grid point
+    ("oscillator", 0.1, 0.7, 15, 3, 16),  # one cusp between grid points
+    ("oscillator", -0.5, 0.5, 11, 2, 11),  # the cusp at 0.0 is a grid point
 ])
-def test_run_fermi_rotates_each_grid_point_once(monkeypatch, model, lo, hi, steps, n_p):
+def test_run_fermi_rotates_each_grid_point_once(monkeypatch, model, lo, hi, steps, n_p,
+                                                rotations):
     lambdas = _count_rotations(monkeypatch)
     config = ScanConfig(model=model, nmax=6, lam_lo=lo, lam_hi=hi, steps=steps,
                         n_particles=n_p)
     table, _ = run_fermi(config)
-    cusps = [c for c in table.comments if c.startswith("# cusp,")]
-    assert len(lambdas) == steps + len(cusps)
+    assert sum(c.startswith("# cusp,") for c in table.comments) == 1
+    assert len(lambdas) == rotations
+
+
+def _count_spectra(monkeypatch):
+    lambdas = []
+    original = ParametricModel.spectrum
+
+    def counting(self, lam):
+        lambdas.append(lam)
+        return original(self, lam)
+
+    monkeypatch.setattr(ParametricModel, "spectrum", counting)
+    return lambdas
+
+
+def test_run_fermi_diagonalizes_a_cusp_on_the_grid_once(monkeypatch):
+    lambdas = _count_spectra(monkeypatch)
+    config = ScanConfig(model="six-site", lam_lo=0.5, lam_hi=1.5, steps=5, n_particles=2)
+    table, _ = run_fermi(config)
+    assert table.comments == ["# cusp,1,-0.3333333333333337,-1.666666666666667"]
+    # the grid, then two grid-end probes on each interval not touching 1.0
+    assert lambdas == [0.5, 0.75, 1.0, 1.25, 1.5, 0.75, 0.75, 1.5, 1.5]
+
+
+# --- Newton refinement against the bisection it replaced ---
+
+
+def _bisection_crossings(sweep, fill):
+    """The crossing search as it was before Newton refinement: the tracked
+    frontier gap bisected down to ``BISECTION_WIDTH`` in every interval
+    whose right end shows a swap."""
+    model = sweep.model
+    n_p = fill.n_particles
+    grid = sweep.lambdas
+    rots = list(sweep)
+    hits = {i for i, rot in enumerate(rots) if _frontier_cluster(rot, n_p) is not None}
+    crossings = [float(grid[i]) for i in sorted(hits)]
+    for i in range(len(grid) - 1):
+        if i in hits or (i + 1) in hits:
+            continue
+        vectors = rots[i].eigenvectors
+
+        def gap(lam):
+            occ, emp = (
+                float(track(vectors[:, k : k + 1], model.spectrum(lam)).eigenvalues[0])
+                for k in (n_p - 1, n_p)
+            )
+            return emp - occ
+
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        if gap(hi) >= 0.0:
+            continue
+        while hi - lo > BISECTION_WIDTH:
+            mid = 0.5 * (lo + hi)
+            if gap(mid) >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        crossings.append(0.5 * (lo + hi))
+    return sorted(crossings)
+
+
+@pytest.mark.parametrize("model, lo, hi, steps, n_p", [
+    (six_site_model(), 0.2, 1.95, 18, 2),
+    (six_site_model(), 0.2, 2.0, 36, 2),
+    (six_site_model(), 0.05, 2.9, 11, 4),
+    (six_site_model(), 0.31, 1.77, 7, 2),
+    (oscillator_model(n_max=8), -0.83, 0.41, 23, 3),
+    (oscillator_model(n_max=8), -0.9, 0.2, 31, 6),
+    (oscillator_model(n_max=8), -0.3, 0.87, 17, 4),
+    (oscillator_model(n_max=8), 0.07, 0.93, 41, 10),
+    (oscillator_model(n_max=8), -0.61, 0.77, 29, 8),
+])
+def test_newton_crossings_agree_with_bisection(model, lo, hi, steps, n_p):
+    sweep = Sweep(model, np.linspace(lo, hi, steps))
+    fill = FillingSpec(n_p)
+    want = _bisection_crossings(sweep, fill)
+    got = find_crossings(sweep, fill)
+    assert len(got) == len(want)
+    assert np.abs(np.array(got) - np.array(want)).max(initial=0.0) <= BISECTION_WIDTH
+
+
+def test_newton_refinement_spectrum_calls(monkeypatch):
+    lambdas = _count_spectra(monkeypatch)
+    got = find_crossings(Sweep(six_site_model(), np.linspace(0.2, 1.95, 18)), TWO)
+    assert len(got) == 1 and abs(got[0] - 1.0) <= 1e-8
+    # 18 grid points, two grid-end probes on each of 17 intervals, and three
+    # Newton probes of two calls each (bisection took 56)
+    assert len(lambdas) == 18 + 2 * 17 + 6
+
+
+def test_branch_continues_through_degenerate_shells_in_the_hf_basis():
+    # at lambda=0 the oscillator's shells are exactly degenerate, and their
+    # raw eigenvectors are an arbitrary basis of each shell: the branches
+    # arriving from lambda<0 carry on with the Hellmann-Feynman slopes
+    # (the block eigenvalues at 0) they had on the way in
+    model = oscillator_model(n_max=8)
+    left = rotated_spectrum(model, -0.05)
+    at = rotated_spectrum(model, 0.0)
+    tol = left.clusters[0].tol_used
+    for k in range(1, 10):
+        column = left.eigenvectors[:, k : k + 1]
+        energy, v = hftkit.fermi._branch(model, 0.0, column, tol)
+        slope = v @ model.b.entries @ v
+        c = at.cluster_of(k)
+        assert abs(energy - at.eigenvalues[k]) <= 1e-12
+        assert np.abs(at.cluster_slopes[c.start : c.stop] - slope).min() <= 1e-12
+        assert abs(slope - left.cluster_slopes[k]) <= 0.1
+
+
+def test_frontier_states_tracked_into_one_state_are_an_error_not_a_crossing():
+    # no two levels come closer than 1.2 on [-2, 2], but the eigenvectors
+    # turn so far between grid points that both frontier states of a left
+    # end continue into the same state further on; that zero "gap" is no
+    # crossing, and a finer grid resolves it
+    model = ParametricModel(
+        a=SymmetricMatrix([[1.6, -1.1, -0.8], [-1.1, -1.8, 0.1], [-0.8, 0.1, 0.0]]),
+        b=SymmetricMatrix([[0.0, -0.2, 1.3], [-0.2, 1.8, -1.2], [1.3, -1.2, 0.2]]),
+    )
+    for n_p, steps in ((1, 4), (2, 3)):
+        with pytest.raises(TrackingError, match="a finer grid may tell them apart"):
+            find_crossings(Sweep(model, np.linspace(-2.0, 2.0, steps)), FillingSpec(n_p))
+        assert find_crossings(Sweep(model, np.linspace(-2.0, 2.0, 401)), FillingSpec(n_p)) == []
+
+
+@pytest.mark.parametrize("grid", [np.linspace(-1.0, 0.9, 4), np.linspace(-1.0, 1.0, 4)])
+def test_avoided_crossing_below_the_tolerance_is_a_crossing_on_every_grid(grid):
+    # gap 2e-9 at lambda=0, below the default degeneracy tolerance 1e-8:
+    # the Hellmann-Feynman basis resolves the pair, so it is a crossing, and
+    # its place does not depend on where the grid or the probes fall
+    model = ParametricModel(
+        a=SymmetricMatrix([[0.0, 1e-9], [1e-9, 0.0]]),
+        b=SymmetricMatrix([[1.0, 0.0], [0.0, -1.0]]),
+    )
+    fill = FillingSpec(1)
+    got = find_crossings(Sweep(model, grid), fill)
+    assert len(got) == 1 and abs(got[0]) <= 1e-20
+    report = cusp_report(model, got[0], fill)
+    assert (report.slope_left, report.slope_right) == pytest.approx((1.0, -1.0), abs=1e-12)
 
 
 def test_sweep_rejects_a_non_vector_grid():
