@@ -159,7 +159,8 @@ def test_cusp_report_candidate_structure():
     assert got == pytest.approx(candidates, abs=1e-8)
 
 
-def test_cusp_report_takes_sides_from_concavity_without_ground_energy_calls(monkeypatch):
+def test_cusp_report_takes_e0_at_the_cusp_from_its_own_spectrum(monkeypatch):
+    # and both sides from concavity: no ground_energy call at all
     calls = []
     original = hftkit.fermi.ground_energy
 
@@ -259,13 +260,17 @@ def test_curve_and_crossings_share_one_sweep(monkeypatch):
     assert len(lambdas) == 19
 
 
-@pytest.mark.parametrize("model, lo, hi, steps, n_p, rotations", [
-    ("six-site", 0.2, 2.0, 19, 2, 19),  # the cusp at 1.0 is a grid point
-    ("oscillator", 0.1, 0.7, 15, 3, 16),  # one cusp between grid points
-    ("oscillator", -0.5, 0.5, 11, 2, 11),  # the cusp at 0.0 is a grid point
-])
-def test_run_fermi_rotates_each_grid_point_once(monkeypatch, model, lo, hi, steps, n_p,
-                                                rotations):
+# exact rotation counts: a cusp on the grid reuses the sweep's point
+ROTATIONS = {
+    ("six-site", 0.2, 2.0, 19, 2): 19,  # the cusp at 1.0 is a grid point
+    ("oscillator", 0.1, 0.7, 15, 3): 16,  # one cusp between grid points
+    ("oscillator", -0.5, 0.5, 11, 2): 11,  # the cusp at 0.0 is a grid point
+}
+
+
+@pytest.mark.parametrize("model, lo, hi, steps, n_p", list(ROTATIONS))
+def test_run_fermi_rotates_each_grid_point_once(monkeypatch, model, lo, hi, steps, n_p):
+    rotations = ROTATIONS[model, lo, hi, steps, n_p]
     lambdas = _count_rotations(monkeypatch)
     config = ScanConfig(model=model, nmax=6, lam_lo=lo, lam_hi=hi, steps=steps,
                         n_particles=n_p)
