@@ -26,7 +26,7 @@ import numpy as np
 
 from .hft import RotatedSpectrum, Sweep, hft_consistent_basis, rotated_spectrum
 from .spectral import ParametricModel, TrackingError, track
-from .symmetry import ClassificationError, classify_vector
+from .symmetry import _labels
 
 BISECTION_WIDTH = 1e-10
 
@@ -158,9 +158,9 @@ def cusp_report(
 
 def _branch(
     model: ParametricModel, lam: float, column: np.ndarray, tol: float
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Energy and eigenvector at lam of the branch whose eigenvector
-    continues the d x 1 ``column``.
+    continues the d x 1 ``column``, and all eigenvalues at lam.
 
     The branch is tracked in the spectrum at lam.  When that match is
     ambiguous, or lands on a state degenerate within ``tol``, whose raw
@@ -188,7 +188,7 @@ def _branch(
                 f"Hellmann-Feynman basis there"
             ) from exc
         energy = float(np.square(spectrum.eigenvectors.T @ tracked.eigenvectors[:, 0]) @ w)
-    return energy, tracked.eigenvectors[:, 0]
+    return energy, tracked.eigenvectors[:, 0], w
 
 
 def find_crossings(sweep: Sweep, fill: FillingSpec) -> list[float]:
@@ -216,8 +216,11 @@ def find_crossings(sweep: Sweep, fill: FillingSpec) -> list[float]:
     branches cross, whatever the grid.
 
     A probe at which both frontier states continue into one state raises
-    :class:`TrackingError`: the grid is too coarse to follow them there.  A
-    grid interval that holds two frontier crossings can hide one or both
+    :class:`TrackingError`: the grid is too coarse to follow them there.  So
+    does a refined crossing whose last probe finds more than n_p - 1 levels
+    below the tracked pair or d - n_p - 1 above it: a tracked state crossed a
+    third level, and the pair that crosses is not the occupation frontier.
+    A grid interval that holds two frontier crossings can hide one or both
     of them from the sign test; a finer grid finds them.
     """
     model = sweep.model
@@ -248,17 +251,19 @@ def find_crossings(sweep: Sweep, fill: FillingSpec) -> list[float]:
         vectors = rot.eigenvectors
         vec_occ = vectors[:, n_p - 1 : n_p]
         vec_emp = vectors[:, n_p : n_p + 1]
-        tol = rot.clusters[0].tol_used
+        tol = rot.tol
+        last = []  # the latest probe's lambda, tracked levels (ascending), eigenvalues
 
         def probe(lam: float) -> tuple[float, float]:
             """Tracked frontier gap at lam and its derivative."""
-            e_occ, v_occ = _branch(model, lam, vec_occ, tol)
-            e_emp, v_emp = _branch(model, lam, vec_emp, tol)
+            e_occ, v_occ, w = _branch(model, lam, vec_occ, tol)
+            e_emp, v_emp, _ = _branch(model, lam, vec_emp, tol)
             if abs(v_occ @ v_emp) > 0.5:
                 raise TrackingError(
                     f"both tracked frontier states continue into one state at "
                     f"lambda={lam!r}; a finer grid may tell them apart"
                 )
+            last[:] = lam, *sorted((e_occ, e_emp)), w
             return e_emp - e_occ, float(v_emp @ b @ v_emp - v_occ @ b @ v_occ)
 
         lo, hi = float(grid[i]), float(grid[i + 1])
@@ -267,7 +272,16 @@ def find_crossings(sweep: Sweep, fill: FillingSpec) -> list[float]:
             continue  # no order swap in this interval
         g_lo = float(rot.eigenvalues[n_p] - rot.eigenvalues[n_p - 1])
         dg_lo = float(rot.cluster_slopes[n_p] - rot.cluster_slopes[n_p - 1])
-        crossings.append(_refine(probe, lo, hi, (g_lo, dg_lo), (g_hi, dg_hi)))
+        crossing = _refine(probe, lo, hi, (g_lo, dg_lo), (g_hi, dg_hi))
+        at, e_low, e_high, w = last
+        below, above = np.count_nonzero(w < e_low - tol), np.count_nonzero(w > e_high + tol)
+        if below >= n_p or above >= len(w) - n_p:
+            raise TrackingError(
+                f"the frontier states tracked across [{lo!r}, {hi!r}] reach levels "
+                f"{e_low!r} and {e_high!r} at lambda={at!r}, which are not the "
+                f"occupation frontier there: a tracked state crossed a third level"
+            )
+        crossings.append(crossing)
 
     return sorted(crossings)
 
@@ -315,19 +329,13 @@ def ground_state_curve(sweep: Sweep, fill: FillingSpec) -> GroundStateCurve:
     lams = sweep.lambdas
     energies = np.empty_like(lams)
     slopes = np.empty_like(lams)
-    tags = []
+    highest_occupied = np.empty((model.dim, len(lams)))
     for k, rot in enumerate(sweep):
         energies[k] = float(np.sum(rot.eigenvalues[:n_p]))
         slopes[k] = _ground_slopes(rot, fill)[0]
-        tag = ""
-        if model.symmetry is not None and model.character_table is not None:
-            try:
-                tag = classify_vector(
-                    rot.eigenvectors[:, n_p - 1], model.symmetry, model.character_table
-                ).label
-            except ClassificationError:
-                tag = ""
-        tags.append(tag)
-    return GroundStateCurve(
-        lambdas=lams, energies=energies, slopes=slopes, branch_tags=tuple(tags)
-    )
+        highest_occupied[:, k] = rot.eigenvectors[:, n_p - 1]
+    tags = ("",) * len(lams)
+    if model.symmetry is not None and model.character_table is not None:
+        _, labels = _labels(highest_occupied, model.symmetry, model.character_table)
+        tags = tuple(label or "" for label in labels)
+    return GroundStateCurve(lambdas=lams, energies=energies, slopes=slopes, branch_tags=tags)

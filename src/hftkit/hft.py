@@ -1,12 +1,13 @@
 """Degeneracy clustering and derivative-consistent eigenbases.
 
 The slope of an eigenvalue branch equals the expectation value of dH/dlambda
-in the matching eigenstate.  That identity picks out, inside each degenerate
-subspace, one particular basis: the one that diagonalizes the subspace block
-of dH/dlambda.  This module builds that basis, reports per-state slope
-residuals against an independent reference, quantifies the averaging error
-made by any other degenerate combination, and verifies the off-diagonal
-companion identity and two-sided continuity.
+in the matching eigenstate.  Inside a degenerate subspace every basis is an
+eigenbasis, but only the one that diagonalizes the subspace block of
+dH/dlambda carries the branch slopes.  This module builds that basis (a
+:class:`RotatedSpectrum` keeps it alone), reports per-state slope residuals
+against an independent reference, quantifies the averaging error made by any
+other degenerate combination, and verifies the off-diagonal companion
+identity and two-sided continuity.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class DegenerateCluster:
 
     start: int
     size: int
-    tol_used: float
 
     @property
     def stop(self) -> int:
@@ -71,9 +71,7 @@ def _partition(w: np.ndarray, tol: float) -> tuple[list[DegenerateCluster], np.n
         return [], gaps
     breaks = (gaps > tol).nonzero()[0]
     bounds = [0, *(breaks + 1).tolist(), len(w)]
-    clusters = [
-        DegenerateCluster(start=a, size=b - a, tol_used=tol) for a, b in zip(bounds, bounds[1:])
-    ]
+    clusters = [DegenerateCluster(start=a, size=b - a) for a, b in zip(bounds, bounds[1:])]
     return clusters, gaps[breaks]
 
 
@@ -112,47 +110,32 @@ class RotatedSpectrum:
     """A spectrum with every degenerate cluster rotated to the basis in
     which the cluster block of dH/dlambda is diagonal.
 
-    ``vectors`` holds the rotated eigenvectors, stored once and read-only:
-    singleton columns are copies of the base eigenvectors, the columns of a
-    cluster are its base columns times the cluster's block.  ``blocks``
-    holds those orthogonal g x g blocks, one per cluster of size g > 1, in
-    cluster order; ``rotation`` assembles them into the block-orthogonal
-    d x d matrix, the identity outside clusters.  ``cluster_slopes[k]`` is
-    the slope carried by rotated state k (a plain expectation value for
-    singletons, a block eigenvalue inside clusters, ascending within each
-    cluster).
+    ``vectors`` holds the rotated eigenvectors of the ascending
+    ``eigenvalues``, stored once and read-only: singleton columns are the
+    eigensolver's, a cluster's columns diagonalize its dH/dlambda block.  The
+    eigensolver's basis is not kept: ``model.spectrum(lam).eigenvectors``
+    returns it again, and its transpose times ``vectors`` is the rotation.
+    ``clusters`` were formed with the degeneracy tolerance ``tol``.
+    ``cluster_slopes[k]`` is the slope carried by rotated state k (a plain
+    expectation value for singletons, a block eigenvalue inside clusters,
+    ascending within each cluster).
     """
 
-    base: Spectrum
+    lam: float
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+    tol: float
     clusters: tuple[DegenerateCluster, ...]
     cluster_slopes: np.ndarray
-    blocks: tuple[np.ndarray, ...]
-    vectors: np.ndarray
     warnings: tuple[str, ...] = ()
 
     @property
-    def lam(self) -> float:
-        return self.base.lam
-
-    @property
     def dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.base.eigenvalues
+        return self.eigenvalues.shape[0]
 
     @property
     def eigenvectors(self) -> np.ndarray:
         return self.vectors
-
-    @property
-    def rotation(self) -> np.ndarray:
-        rotation = np.eye(self.dim)
-        multiplets = (c for c in self.clusters if c.size > 1)
-        for c, block in zip(multiplets, self.blocks):
-            rotation[c.start : c.stop, c.start : c.stop] = block
-        return rotation
 
     def cluster_of(self, index: int) -> DegenerateCluster:
         for c in self.clusters:
@@ -183,7 +166,6 @@ def hft_consistent_basis(
     vectors = spectrum.eigenvectors
     rotated = vectors.copy()
     slopes = np.empty(spectrum.dim)
-    blocks = []
     for c in clusters:
         if c.size == 1:
             slopes[c.start] = expectation(hp, vectors[:, c.start])
@@ -191,7 +173,6 @@ def hft_consistent_basis(
         columns = vectors[:, c.start : c.stop]
         sub = eigh(SymmetricMatrix(columns.T @ hp.entries @ columns))
         rotated[:, c.start : c.stop] = columns @ sub.eigenvectors
-        blocks.append(sub.eigenvectors)
         slopes[c.start : c.stop] = sub.eigenvalues
     rotated.flags.writeable = False
 
@@ -206,11 +187,12 @@ def hft_consistent_basis(
                 f"{g:.3e}, within 10x the degeneracy tolerance {tol:.3e}"
             )
     return RotatedSpectrum(
-        base=spectrum,
+        lam=spectrum.lam,
+        eigenvalues=w,
+        vectors=rotated,
+        tol=tol,
         clusters=tuple(clusters),
         cluster_slopes=slopes,
-        blocks=tuple(blocks),
-        vectors=rotated,
         warnings=tuple(dict.fromkeys(warnings)),
     )
 
@@ -333,23 +315,27 @@ def _oracle_references(
     return refs
 
 
+def _track_stencil(model: ParametricModel, basis: np.ndarray, lam: float, x: float) -> Spectrum:
+    """The spectrum at the stencil point x, its columns continuing the
+    rotated ``basis`` at the centre lam."""
+    try:
+        return track(basis, model.spectrum(x))
+    except TrackingError as exc:
+        raise TrackingError(
+            f"cannot follow the rotated basis at lambda={lam!r} to the stencil "
+            f"point lambda={x!r}: a rotated state overlaps two states there "
+            f"almost equally"
+        ) from exc
+
+
 def _tracked_references(
     model: ParametricModel, rot: RotatedSpectrum, lam: float, h: float
 ) -> np.ndarray:
     """Richardson central difference of eigenvalue branches, each branch
     identified by overlap with the rotated basis at lam."""
     vectors = rot.eigenvectors
-
-    def branch_values(x: float) -> np.ndarray:
-        try:
-            return track(vectors, model.spectrum(x)).eigenvalues
-        except TrackingError as exc:
-            raise TrackingError(
-                f"branch tracking failed at lambda={x!r} while differentiating "
-                f"around {lam!r}: {exc}"
-            ) from exc
-
-    return fd_derivative(branch_values, lam, _fit_step(model, lam, h, 1.0, (+1, -1)))
+    step = _fit_step(model, lam, h, 1.0, (+1, -1))
+    return fd_derivative(lambda x: _track_stencil(model, vectors, lam, x).eigenvalues, lam, step)
 
 
 def hft_report(
@@ -399,17 +385,8 @@ def offdiag_identity_residual(
     element = float(vectors[:, m] @ hp.entries @ vectors[:, n])
     if rot.cluster_of(m) is rot.cluster_of(n):
         return abs(element)
-    tracked = {}
-    for x in (lam + h, lam - h):
-        try:
-            tracked[x] = track(vectors, model.spectrum(x)).eigenvectors
-        except TrackingError as exc:
-            raise TrackingError(
-                f"eigenvector tracking failed at lambda={x!r}; rotate the "
-                f"degenerate clusters with hft_consistent_basis before "
-                f"differencing, or shrink h"
-            ) from exc
-    dpsi_n = (tracked[lam + h][:, n] - tracked[lam - h][:, n]) / (2.0 * h)
+    plus, minus = (_track_stencil(model, vectors, lam, x) for x in (lam + h, lam - h))
+    dpsi_n = (plus.eigenvectors[:, n] - minus.eigenvectors[:, n]) / (2.0 * h)
     gap = float(rot.eigenvalues[n] - rot.eigenvalues[m])
     return abs(element - gap * float(vectors[:, m] @ dpsi_n))
 
@@ -428,6 +405,6 @@ def continuity_overlap(
     vectors = rotated_spectrum(model, lam0, tol).eigenvectors
     worst = math.inf
     for x in (lam0 - delta, lam0 + delta):
-        tracked = track(vectors, model.spectrum(x)).eigenvectors
+        tracked = _track_stencil(model, vectors, lam0, x).eigenvectors
         worst = min(worst, float(np.abs(np.sum(vectors * tracked, axis=0)).min()))
     return worst

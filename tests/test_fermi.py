@@ -8,7 +8,7 @@ import pytest
 
 import hftkit.fermi
 import hftkit.hft
-from hftkit.cli import ScanConfig, run_fermi
+from hftkit.cli import ScanConfig, main, run_fermi
 from hftkit.fermi import (
     BISECTION_WIDTH,
     FillingSpec,
@@ -28,6 +28,7 @@ from hftkit.spectral import (
     fd_derivative,
     track,
 )
+from hftkit.symmetry import ClassificationError, classify_vector
 
 
 TWO = FillingSpec(2)
@@ -221,6 +222,36 @@ def test_curve_continuous_across_the_cusp():
     assert np.argmax(jumps) in (9, 10)
 
 
+def per_column_tags(sweep, n_p):
+    # The curve's tags as they were taken before: one classify_vector call
+    # per grid point, "" where the state is mixed.
+    model = sweep.model
+    tags = []
+    for rot in sweep:
+        try:
+            v = rot.eigenvectors[:, n_p - 1]
+            tags.append(classify_vector(v, model.symmetry, model.character_table).label)
+        except ClassificationError:
+            tags.append("")
+    return tuple(tags)
+
+
+@pytest.mark.parametrize("model, grid, n_p", [
+    (six_site_model(), np.linspace(0.2, 2.0, 37), 1),
+    (six_site_model(), np.linspace(0.2, 2.0, 37), 2),
+    (six_site_model(), np.linspace(0.2, 2.0, 37), 4),
+    # this oscillator grid holds lambda=0, where the shells are degenerate
+    (oscillator_model(n_max=8), np.linspace(-0.5, 0.5, 21), 1),
+    (oscillator_model(n_max=8), np.linspace(-0.5, 0.5, 21), 3),
+    (oscillator_model(n_max=8), np.linspace(-0.5, 0.5, 21), 6),
+])
+def test_curve_tags_equal_per_column_classification(model, grid, n_p):
+    sweep = Sweep(model, grid)
+    tags = ground_state_curve(sweep, FillingSpec(n_p)).branch_tags
+    assert tags == per_column_tags(sweep, n_p)
+    assert any(tags)
+
+
 def test_curve_without_symmetry_leaves_tags_empty():
     model = dataclasses.replace(six_site_model(), symmetry=None, character_table=None)
     curve = ground_state_curve(Sweep(model, np.linspace(0.4, 0.6, 3)), TWO)
@@ -347,7 +378,7 @@ def _bisection_crossings(sweep, fill):
     (oscillator_model(n_max=8), -0.9, 0.2, 31, 6),
     (oscillator_model(n_max=8), -0.3, 0.87, 17, 4),
     (oscillator_model(n_max=8), 0.07, 0.93, 41, 10),
-    (oscillator_model(n_max=8), -0.61, 0.77, 29, 8),
+    (oscillator_model(n_max=8), -0.3, 0.47, 17, 8),
 ])
 def test_newton_crossings_agree_with_bisection(model, lo, hi, steps, n_p):
     sweep = Sweep(model, np.linspace(lo, hi, steps))
@@ -375,15 +406,37 @@ def test_branch_continues_through_degenerate_shells_in_the_hf_basis():
     model = oscillator_model(n_max=8)
     left = rotated_spectrum(model, -0.05)
     at = rotated_spectrum(model, 0.0)
-    tol = left.clusters[0].tol_used
     for k in range(1, 10):
         column = left.eigenvectors[:, k : k + 1]
-        energy, v = hftkit.fermi._branch(model, 0.0, column, tol)
+        energy, v, w = hftkit.fermi._branch(model, 0.0, column, left.tol)
+        assert np.array_equal(w, at.eigenvalues)
         slope = v @ model.b.entries @ v
         c = at.cluster_of(k)
         assert abs(energy - at.eigenvalues[k]) <= 1e-12
         assert np.abs(at.cluster_slopes[c.start : c.stop] - slope).min() <= 1e-12
         assert abs(slope - left.cluster_slopes[k]) <= 0.1
+
+
+def test_tracked_pair_off_the_frontier_is_an_error_not_a_crossing(capsys):
+    # between -0.61 and -0.56 the tracked occupied state of np=8 crosses
+    # sorted level 6, so the tracked pair that swaps near -0.6025 is levels
+    # 6 and 7 while the frontier pair 7, 8 stays 0.0124 apart; finer grids
+    # (57 and 113 steps) meet the same pair
+    model = oscillator_model(n_max=8)
+    sweep = Sweep(model, np.linspace(-0.61, 0.77, 29))
+    with pytest.raises(TrackingError, match=r"not the occupation frontier") as info:
+        find_crossings(sweep, FillingSpec(8))
+    message = str(info.value)
+    assert "[-0.61, -0.5607142857142857]" in message and "lambda=-0.60248" in message
+    assert "finer grid" not in message
+    w = model.spectrum(-0.6024840541872938).eigenvalues
+    assert w[8] - w[7] > 0.01
+    argv = ["--model", "oscillator", "--nmax", "8", "--np", "8",
+            "--lmin", "-0.61", "--lmax", "0.77", "--steps", "29"]
+    for command in ("crossings", "fermi"):
+        assert main([command, *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
 
 
 def test_frontier_states_tracked_into_one_state_are_an_error_not_a_crossing():

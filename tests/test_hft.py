@@ -19,7 +19,14 @@ from hftkit.hft import (
     _tracked_references,
 )
 from hftkit.models import oscillator_model, six_site_model
-from hftkit.spectral import Spectrum, SymmetricMatrix, eigh, track
+from hftkit.spectral import (
+    ParametricModel,
+    Spectrum,
+    SymmetricMatrix,
+    TrackingError,
+    eigh,
+    track,
+)
 
 
 V3 = np.array([1.0, 0.0, -1.0, 1.0, 0.0, -1.0]) / 2.0
@@ -161,11 +168,10 @@ def test_rotation_oscillator_first_shell():
 def test_rotation_identity_without_degeneracies():
     model = six_site_model()
     rot = rotated_spectrum(model, 0.5)
-    assert np.array_equal(rot.rotation, np.eye(6))
+    raw = model.spectrum(0.5).eigenvectors
+    assert np.array_equal(rot.eigenvectors, raw)
     for k in range(6):
-        assert rot.cluster_slopes[k] == expectation(
-            model.derivative(0.5), rot.base.eigenvectors[:, k]
-        )
+        assert rot.cluster_slopes[k] == expectation(model.derivative(0.5), raw[:, k])
 
 
 def test_rotation_block_is_diagonal_after():
@@ -181,7 +187,8 @@ def test_rotation_preserves_eigen_residual():
     model = six_site_model()
     h = model.hamiltonian(1.0).entries
     rot = rotated_spectrum(model, 1.0)
-    before = np.abs(h @ rot.base.eigenvectors - rot.base.eigenvectors * rot.eigenvalues).max()
+    raw = model.spectrum(1.0).eigenvectors
+    before = np.abs(h @ raw - raw * rot.eigenvalues).max()
     after = np.abs(h @ rot.eigenvectors - rot.eigenvectors * rot.eigenvalues).max()
     assert after <= before + 1e-12
 
@@ -191,7 +198,7 @@ def test_rotation_trace_invariance():
     rot = rotated_spectrum(model, 1.0)
     hp = model.derivative(1.0).entries
     for c in rot.clusters:
-        raw = rot.base.eigenvectors[:, c.start : c.stop]
+        raw = model.spectrum(1.0).eigenvectors[:, c.start : c.stop]
         trace = np.trace(raw.T @ hp @ raw)
         assert abs(rot.cluster_slopes[c.start : c.stop].sum() - trace) <= 1e-12
 
@@ -339,33 +346,76 @@ def test_continuity_rejects_bad_delta():
         continuity_overlap(six_site_model(), 1.0, 0.0)
 
 
+def test_stencils_that_lose_the_rotated_basis_raise_one_error():
+    # levels +-1e-7 at lambda=0, a gap above the degeneracy tolerance, so the
+    # basis there is (1, +-1)/sqrt(2); one unit away the states are the axes,
+    # each at overlap 1/sqrt(2) with both rotated states
+    model = ParametricModel(
+        a=SymmetricMatrix([[0.0, 1e-7], [1e-7, 0.0]]),
+        b=SymmetricMatrix([[1.0, 0.0], [0.0, -1.0]]),
+    )
+    message = r"cannot follow the rotated basis at lambda=0\.0 to the stencil point lambda={}: "
+    for call, x in (
+        (lambda: hft_report(model, 0.0, h=1.0), "1.0"),
+        (lambda: offdiag_identity_residual(model, 0.0, 0, 1, h=1.0), "1.0"),
+        (lambda: continuity_overlap(model, 0.0, 1.0), "-1.0"),
+    ):
+        with pytest.raises(TrackingError, match=message.format(x)):
+            call()
+    assert hft_report(model, 0.0).worst_residual <= 1e-12  # the default step follows
+
+
 # --- the stored rotated basis ---
 
 
 def rotated_basis_cases():
-    yield rotated_spectrum(six_site_model(), 1.0)
-    yield rotated_spectrum(six_site_model(), 0.5)
+    yield six_site_model(), 1.0
+    yield six_site_model(), 0.5
     for lam in (0.0, 0.37):
-        yield rotated_spectrum(oscillator_model(1.0, 8), lam)
+        yield oscillator_model(1.0, 8), lam
 
 
 def test_stored_eigenvectors_equal_the_rotated_product():
-    for rot in rotated_basis_cases():
-        product = rot.base.eigenvectors @ rot.rotation
-        assert np.abs(rot.eigenvectors - product).max() <= 1e-14
+    # the raw basis is the same deterministic LAPACK call again, and the
+    # rotation taking it to the stored basis is block-orthogonal: one
+    # orthogonal block per cluster, the identity on singletons
+    for model, lam in rotated_basis_cases():
+        rot = rotated_spectrum(model, lam)
+        raw = model.spectrum(lam).eigenvectors
+        rotation = raw.T @ rot.eigenvectors
+        blocks = np.zeros_like(rotation, dtype=bool)
         for c in rot.clusters:
+            blocks[c.start : c.stop, c.start : c.stop] = True
+            block = rotation[c.start : c.stop, c.start : c.stop]
+            assert np.abs(block.T @ block - np.eye(c.size)).max() <= 1e-14
             if c.size == 1:
-                assert np.array_equal(rot.eigenvectors[:, c.start], product[:, c.start])
-                base = rot.base.eigenvectors[:, c.start]
-                assert np.array_equal(rot.eigenvectors[:, c.start], base)
-        assert len(rot.blocks) == sum(c.size > 1 for c in rot.clusters)
+                assert np.array_equal(rot.eigenvectors[:, c.start], raw[:, c.start])
+        assert np.abs(rotation[~blocks]).max() <= 1e-14
+        product = raw @ np.where(blocks, rotation, 0.0)
+        assert np.abs(rot.eigenvectors - product).max() <= 1e-14
 
 
 def test_stored_eigenvectors_are_one_read_only_array():
     rot = rotated_spectrum(oscillator_model(1.0, 4), 0.0)
     assert rot.eigenvectors is rot.eigenvectors
     assert not rot.eigenvectors.flags.writeable
-    assert rot.rotation is not rot.rotation  # built on each read, the caller's to keep
+
+
+def test_rotated_spectrum_is_one_record_per_lambda():
+    model = oscillator_model(1.0, 4)
+    rot = rotated_spectrum(model, 0.0)
+    fields = {f.name: getattr(rot, f.name) for f in dataclasses.fields(rot)}
+    assert list(fields) == [
+        "lam", "eigenvalues", "vectors", "tol", "clusters", "cluster_slopes", "warnings"
+    ]
+    matrices = [name for name, value in fields.items() if np.ndim(value) == 2]
+    assert matrices == ["vectors"]
+    assert rot.eigenvectors is rot.vectors
+    assert (rot.lam, rot.dim) == (0.0, model.dim)
+    assert np.array_equal(rot.eigenvalues, model.spectrum(0.0).eigenvalues)
+    assert rot.tol == default_degeneracy_tol(rot.eigenvalues)
+    assert rotated_spectrum(model, 0.0, tol=1e-3).tol == 1e-3
+    assert [f.name for f in dataclasses.fields(rot.clusters[0])] == ["start", "size"]
 
 
 def cluster_loop_reference(w, tol):
