@@ -49,14 +49,16 @@ class CsvTable:
                 raise ValueError("ragged row: every row must match the header width")
 
     def append(self, row) -> None:
-        row = tuple(float(v) for v in row)
+        row = tuple(map(float, row))
         if len(row) != len(self.header):
             raise ValueError("ragged row: every row must match the header width")
         self.rows.append(row)
 
     def render(self) -> str:
+        # "%.17g" is the formatter of _fmt, applied to a whole row at once.
+        row_format = ",".join(["%.17g"] * len(self.header))
         lines = [",".join(self.header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in self.rows)
+        lines.extend(row_format % tuple(map(float, row)) for row in self.rows)
         lines.extend(self.comments)
         return "\n".join(lines) + "\n"
 
@@ -128,27 +130,26 @@ def run_scan(config: ScanConfig) -> CsvTable:
 
     branch_vectors: Optional[np.ndarray] = None
     prev_lam: Optional[float] = None
-    for lam in grid:
-        lam = float(lam)
+    # Identity order for --sorted and for the first tracked point.
+    perm = np.arange(model.dim)
+    signs = np.ones(model.dim)
+    for lam in grid.tolist():
         rot = rotated_spectrum(model, lam, config.tol_deg)
-        vectors = rot.eigenvectors
-        if config.sorted_output or branch_vectors is None:
-            perm = np.arange(model.dim)
-            signs = np.ones(model.dim)
-        else:
-            try:
-                perm, signs = match_columns(branch_vectors, vectors)
-            except TrackingError as exc:
-                raise TrackingError(
-                    f"eigenpair tracking is ambiguous in [{prev_lam:.12g}, {lam:.12g}]; "
-                    f"rerun with more --steps"
-                ) from exc
         if not config.sorted_output:
+            vectors = rot.eigenvectors
+            if branch_vectors is not None:
+                try:
+                    perm, signs = match_columns(branch_vectors, vectors)
+                except TrackingError as exc:
+                    raise TrackingError(
+                        f"eigenpair tracking is ambiguous in [{prev_lam:.12g}, {lam:.12g}]; "
+                        f"rerun with more --steps"
+                    ) from exc
             branch_vectors = vectors[:, perm] * signs
             prev_lam = lam
-        row = [lam] + list(rot.eigenvalues[perm])
+        row = [lam, *rot.eigenvalues[perm].tolist()]
         if config.slopes:
-            row += list(rot.cluster_slopes[perm])
+            row += rot.cluster_slopes[perm].tolist()
         table.append(row)
     return table
 

@@ -64,8 +64,10 @@ def _partition(w: np.ndarray, tol: float) -> tuple[list[DegenerateCluster], np.n
     neighbouring clusters, in order, from one diff."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
-    gaps = np.diff(w)
-    if (gaps < 0.0).any():
+    gaps = w[1:] - w[:-1]  # np.diff(w) bit for bit, without its wrapper
+    # fmin ignores nan, so only a gap below zero is a descent; the initial
+    # value covers w of length 0 or 1.
+    if np.fmin.reduce(gaps, initial=0.0) < 0.0:
         raise ValueError("eigenvalues must be ascending")
     if len(w) == 0:
         return [], gaps
@@ -84,9 +86,11 @@ def cluster_degeneracies(eigenvalues: np.ndarray, tol: float) -> list[Degenerate
 def expectation(hp: SymmetricMatrix, v: np.ndarray) -> float:
     """<v|hp|v> for a unit vector v."""
     v = np.asarray(v, dtype=float)
-    if abs(math.sqrt(float(v @ v)) - 1.0) > UNIT_NORM_TOL:
+    # ndarray.dot gives the bits of @ (both reach BLAS gemv and dot) at a
+    # lower dispatch cost; tests/test_hft.py compares the two bit for bit.
+    if abs(math.sqrt(v.dot(v)) - 1.0) > UNIT_NORM_TOL:
         raise ValueError("expectation requires a unit vector")
-    return float(v @ hp.entries @ v)
+    return float(v.dot(hp.entries).dot(v))
 
 
 def mixed_slope(cluster_slopes: np.ndarray, coeffs: np.ndarray) -> float:
@@ -179,7 +183,7 @@ def hft_consistent_basis(
     # Boundary k sits between clusters k and k + 1; its gap is reported
     # once for each of the two, left cluster first.
     warnings = []
-    for k in np.flatnonzero(boundary_gaps <= BOUNDARY_WARNING_FACTOR * tol):
+    for k in (boundary_gaps <= BOUNDARY_WARNING_FACTOR * tol).nonzero()[0]:
         g = boundary_gaps[k]
         for c in clusters[k : k + 2]:
             warnings.append(

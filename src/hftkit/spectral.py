@@ -29,7 +29,7 @@ class TrackingError(RuntimeError):
 
 
 def _require_finite(a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
 
 
@@ -115,7 +115,7 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     Ties go to the lowest index.  The result is C-contiguous whatever the
     input layout: products such as v @ hp @ v round differently otherwise.
     """
-    lead = np.argmax(np.abs(vectors), axis=0)
+    lead = np.abs(vectors).argmax(axis=0)
     signs = np.where(vectors[lead, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
     return np.multiply(vectors, signs, order="C")
 
@@ -253,10 +253,19 @@ def match_columns(
             f"cannot match a {rows} x {k} reference against candidates of shape {candidate.shape}"
         )
     overlaps = reference.T @ candidate
-    # |overlap| of each pair; a taken candidate column is masked with -1,
-    # below every real magnitude, so argmax (first maximum, i.e. the lowest
-    # index among ties) only sees the unassigned columns.
     mags = np.abs(overlaps)
+    if k > 1:
+        # When the rows' best columns are distinct and each beats its row's
+        # runner-up by more than the tolerance, the greedy loop below picks
+        # exactly those columns and its ambiguity check cannot fire.
+        cols = mags.argmax(axis=1)
+        if len(set(cols.tolist())) == k:
+            top_two = np.partition(mags, -2, axis=1)
+            if (top_two[:, -1] - top_two[:, -2] > ambiguity_tol).all():
+                return cols, np.where(overlaps[np.arange(k), cols] >= 0.0, 1.0, -1.0)
+    # Greedy, one reference column at a time.  A taken candidate column is
+    # masked with -1, below every real magnitude, so argmax (first maximum,
+    # i.e. the lowest index among ties) only sees the unassigned columns.
     perm = np.empty(k, dtype=int)
     signs = np.empty(k)
     for j in range(k):

@@ -44,6 +44,20 @@ def test_csv_full_precision_format():
     assert lines[1] == "0.10000000000000001"
     assert lines[2] == "1"
     assert lines[3] == "-0.33333333333333331"
+    # One row format for the whole row is the same formatter as _fmt, also
+    # for signed zero, infinities, nan, subnormals and the switch to
+    # exponent form; rows may be lists and hold ints or float32s.
+    rows = [
+        (-0.0, float("inf"), float("-inf")),
+        (float("nan"), 5e-324, 1e16),
+        [1e17, 3, np.float32(0.1)],
+    ]
+    edge = CsvTable(header=("a", "b", "c"), rows=rows)
+    edge.append([-7, np.float32(-2.5e-39), 1e-5])
+    rows.append([-7, np.float32(-2.5e-39), 1e-5])
+    assert edge.render().splitlines()[1:] == [
+        ",".join(format(float(v), ".17g") for v in row) for row in rows
+    ]
 
 
 def test_csv_round_trip_is_byte_identical():
@@ -93,6 +107,128 @@ def test_scan_validates_grid():
         run_scan(six_site_scan_config(steps=1))
     with pytest.raises(ValueError):
         run_scan(six_site_scan_config(lam_lo=2.0, lam_hi=0.2))
+
+
+# --- golden scan output ---
+
+# The full stdout of three scans: a dyadic six-site grid through the crossing
+# at lambda = 1, tracked and sorted, and the oscillator through its
+# degenerate shells at lambda = 0.  Byte equality pins the branch
+# permutation, the signs and every slope digit.  The bytes are those of
+# numpy 2.4.6 with its bundled OpenBLAS 0.3.31; another LAPACK build may
+# round the last digits differently.
+GOLDEN_SCANS = {
+    "scan --model six-site --lmin 0.984375 --lmax 1.015625 --steps 9 --slopes": (
+        "lambda,e0,e1,e2,e3,e4,e5,slope0,slope1,slope2,slope3,slope4,slope5\n"
+        "0.984375,-1.9896014491657774,-1.0052264491657774,-0.984375,0.98437500000000022,"
+        "1.005226449165777,1.9896014491657767,-0.66434583779395218,0.33565416220604805,-1,"
+        "0.99999999999999978,-0.33565416220604838,0.66434583779395229\n"
+        "0.98828125,-1.9921976857541592,-1.003916435754159,-0.98828125000000011,0.98828125,"
+        "1.0039164357541592,1.9921976857541592,-0.66492717064837259,0.33507282935162785,-1,"
+        "0.99999999999999911,-0.33507282935162774,0.66492717064837192\n"
+        "0.9921875,-1.9947961917105157,-1.0026086917105168,-0.99218750000000044,0.9921875,"
+        "1.0026086917105161,1.9947961917105168,-0.66550775397209327,0.33449224602790661,"
+        "-1.0000000000000004,0.99999999999999911,-0.33449224602790606,0.6655077539720935\n"
+        "0.99609375,-1.9973969641043641,-1.0013032141043641,-0.99609374999999956,"
+        "0.99609374999999956,1.0013032141043645,1.9973969641043636,-0.66608758642136323,"
+        "0.33391241357863632,-0.99999999999999978,1.0000000000000007,-0.33391241357863688,"
+        "0.66608758642136423\n"
+        "1,-1.9999999999999996,-0.99999999999999989,-1.0000000000000002,1,0.99999999999999989,"
+        "1.9999999999999998,-0.66666666666666696,0.33333333333333326,-1,1.0000000000000002,"
+        "-0.33333333333333343,0.66666666666666685\n"
+        "1.00390625,-2.0026052964565526,-0.99869904645655194,-1.0039062500000002,"
+        "1.0039062500000002,0.99869904645655216,2.0026052964565517,-0.66724499339270604,"
+        "0.33275500660729462,-0.99999999999999978,1.0000000000000009,-0.33275500660729479,"
+        "0.66724499339270582\n"
+        "1.0078125,-2.0052128505280407,-0.99740035052804144,-1.0078125,1.0078124999999996,"
+        "0.99740035052804121,2.0052128505280411,-0.66782256529837691,0.33217743470162425,-1,"
+        "0.99999999999999956,-0.3321774347016242,0.66782256529837636\n"
+        "1.01171875,-2.007822659263431,-0.99610390926343018,-1.01171875,1.0117187500000002,"
+        "0.99610390926343062,2.0078226592634296,-0.66839938109674746,0.33160061890325238,"
+        "-0.99999999999999989,0.99999999999999933,-0.33160061890325243,0.66839938109674712\n"
+        "1.015625,-2.0104347197066863,-0.99480971970668575,-1.0156249999999998,"
+        "1.0156249999999998,0.9948097197066863,2.0104347197066859,-0.66897543951503802,"
+        "0.33102456048496165,-0.99999999999999933,1,-0.33102456048496176,0.66897543951503857\n"
+    ),
+    "scan --model six-site --lmin 0.984375 --lmax 1.015625 --steps 9 --slopes --sorted": (
+        "lambda,e0,e1,e2,e3,e4,e5,slope0,slope1,slope2,slope3,slope4,slope5\n"
+        "0.984375,-1.9896014491657774,-1.0052264491657774,-0.984375,0.98437500000000022,"
+        "1.005226449165777,1.9896014491657767,-0.66434583779395218,0.33565416220604805,-1,"
+        "0.99999999999999978,-0.33565416220604838,0.66434583779395229\n"
+        "0.98828125,-1.9921976857541592,-1.003916435754159,-0.98828125000000011,0.98828125,"
+        "1.0039164357541592,1.9921976857541592,-0.66492717064837259,0.33507282935162785,-1,"
+        "0.99999999999999911,-0.33507282935162774,0.66492717064837192\n"
+        "0.9921875,-1.9947961917105157,-1.0026086917105168,-0.99218750000000044,0.9921875,"
+        "1.0026086917105161,1.9947961917105168,-0.66550775397209327,0.33449224602790661,"
+        "-1.0000000000000004,0.99999999999999911,-0.33449224602790606,0.6655077539720935\n"
+        "0.99609375,-1.9973969641043641,-1.0013032141043641,-0.99609374999999956,"
+        "0.99609374999999956,1.0013032141043645,1.9973969641043636,-0.66608758642136323,"
+        "0.33391241357863632,-0.99999999999999978,1.0000000000000007,-0.33391241357863688,"
+        "0.66608758642136423\n"
+        "1,-1.9999999999999996,-1.0000000000000002,-0.99999999999999989,0.99999999999999989,1,"
+        "1.9999999999999998,-0.66666666666666696,-1,0.33333333333333326,-0.33333333333333343,"
+        "1.0000000000000002,0.66666666666666685\n"
+        "1.00390625,-2.0026052964565526,-1.0039062500000002,-0.99869904645655194,"
+        "0.99869904645655216,1.0039062500000002,2.0026052964565517,-0.66724499339270604,"
+        "-0.99999999999999978,0.33275500660729462,-0.33275500660729479,1.0000000000000009,"
+        "0.66724499339270582\n"
+        "1.0078125,-2.0052128505280407,-1.0078125,-0.99740035052804144,0.99740035052804121,"
+        "1.0078124999999996,2.0052128505280411,-0.66782256529837691,-1,0.33217743470162425,"
+        "-0.3321774347016242,0.99999999999999956,0.66782256529837636\n"
+        "1.01171875,-2.007822659263431,-1.01171875,-0.99610390926343018,0.99610390926343062,"
+        "1.0117187500000002,2.0078226592634296,-0.66839938109674746,-0.99999999999999989,"
+        "0.33160061890325238,-0.33160061890325243,0.99999999999999933,0.66839938109674712\n"
+        "1.015625,-2.0104347197066863,-1.0156249999999998,-0.99480971970668575,"
+        "0.9948097197066863,1.0156249999999998,2.0104347197066859,-0.66897543951503802,"
+        "-0.99999999999999933,0.33102456048496165,-0.33102456048496176,1,0.66897543951503857\n"
+    ),
+    "scan --model oscillator --nmax 4 --lmin -0.25 --lmax 0.25 --steps 5 --slopes": (
+        "lambda,e0,e1,e2,e3,e4,e5,e6,e7,e8,e9,e10,e11,e12,e13,e14,slope0,slope1,slope2,slope3,"
+        "slope4,slope5,slope6,slope7,slope8,slope9,slope10,slope11,slope12,slope13,slope14\n"
+        "-0.25,0.99203012478553676,1.8582872158176842,2.1102243842752446,2.7246900036709092,"
+        "2.9764759006198735,3.2284615625737145,3.63817290209025,3.8793363715189821,"
+        "4.128539882092066,4.385439244205771,4.5261827132024415,4.7629413033665093,"
+        "5.0078389031621882,5.2605827960136144,5.5207966926052094,0.065057434590696198,"
+        "0.63844064081482355,-0.38467228836666267,1.2092700250574244,0.18884640411802167,"
+        "-0.83490272694341094,1.3885279471056566,0.46344973135889361,-0.52696858792047618,"
+        "-1.5787774429922332,1.7798606046806482,0.89151453956095539,-0.06292004700909061,"
+        "-1.0803609436789774,-2.1563652903762685\n"
+        "-0.125,0.99803726508384538,1.9334643362339452,2.0587079944676439,2.868898786653137,"
+        "2.9941349809815265,3.1193828856290868,3.8156067446818946,3.9385281972882948,"
+        "4.0634289190841608,4.1902638082440644,4.7562047881360323,4.8780809451338047,"
+        "5.0019547892557989,5.1277840738846638,5.2555214852420944,0.031558696614008598,"
+        "0.56566198772105236,-0.44017800330340207,1.0995155364602334,0.093929363438855093,"
+        "-0.91203576760154448,1.4488347533135917,0.48311905181003928,-0.51449674103464382,"
+        "-1.5429410485066382,1.8979594865388818,0.94947828682704938,-0.031303181348828479,"
+        "-1.043407650265904,-2.0856947706627493\n"
+        "0,1,2,2,3,3,3,4,4,4,4,5,5,5,5,5,0,0.50000000000000011,-0.50000000000000011,"
+        "1.0000000000000004,-9.1940344226770776e-17,-1.0000000000000002,1.5000000000000002,"
+        "0.49999999999999983,-0.49999999999999994,-1.5000000000000002,2,1,"
+        "-1.6585083620570208e-16,-1.0000000000000002,-2\n"
+        "0.125,0.99803726508384538,2.0587079944676447,1.9334643362339456,3.1193828856290868,"
+        "2.9941349809815256,2.8688987866531375,4.1902638082440644,4.0634289190841644,"
+        "3.9385281972882975,3.8156067446818942,5.2555214852420944,5.1277840738846665,"
+        "5.0019547892557981,4.8780809451338074,4.7562047881360314,-0.031558696614008612,"
+        "0.4401780033034019,-0.56566198772105269,0.91203576760154514,-0.093929363438855162,"
+        "-1.0995155364602334,1.5429410485066335,0.51449674103464338,-0.48311905181003745,"
+        "-1.448834753313591,2.0856947706627493,1.0434076502659029,0.031303181348828563,"
+        "-0.94947828682704705,-1.8979594865388816\n"
+        "0.25,0.99203012478553676,2.1102243842752442,1.8582872158176844,3.228461562573715,"
+        "2.9764759006198735,2.7246900036709096,4.3854392442057701,4.128539882092066,"
+        "3.8793363715189848,3.6381729020902482,5.5207966926052094,5.2605827960136189,"
+        "5.0078389031621882,4.7629413033665076,4.5261827132024424,-0.065057434590696198,"
+        "0.38467228836666395,-0.63844064081482388,0.83490272694341106,-0.18884640411802162,"
+        "-1.2092700250574251,1.5787774429922306,0.52696858792047685,-0.46344973135889433,"
+        "-1.3885279471056542,2.1563652903762693,1.0803609436789765,0.06292004700909061,"
+        "-0.89151453956095605,-1.7798606046806478\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SCANS))
+def test_scan_stdout_is_byte_identical_to_the_golden_output(argv, capsys):
+    assert main(argv.split()) == 0
+    assert capsys.readouterr() == (GOLDEN_SCANS[argv], "")
 
 
 # --- fermi ---

@@ -117,6 +117,19 @@ def test_expectation_requires_unit_vector():
         expectation(hp, np.array([1.0, 1.0, 0.0]))
 
 
+@pytest.mark.parametrize("dim", [1, 6, 15, 91])
+def test_expectation_is_bitwise_the_matmul_product(dim):
+    # expectation computes v.dot(hp).dot(v), which must equal v @ hp @ v bit
+    # for bit, on the strided eigenvector columns the rotation passes in and
+    # on contiguous ones.
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim))
+    hp = SymmetricMatrix(np.round(4.0 * (a + a.T)) / 4.0)
+    vectors = np.linalg.eigh(a + a.T)[1]
+    for v in (*vectors.T, *np.asfortranarray(vectors).T):
+        assert expectation(hp, v) == float(v @ hp.entries @ v)
+
+
 def test_mixed_slope_six_site_cluster():
     r = 1.0 / math.sqrt(2.0)
     got = mixed_slope(np.array([1.0 / 3.0, -1.0]), np.array([r, r]))

@@ -381,21 +381,56 @@ def test_match_columns_equals_reference_on_random_pairs(d):
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def assert_agrees_with_reference(reference, candidate, tol):
+    """match_columns returns the reference loop's perm and signs, or raises
+    its message; returns the perm, or the message when both raise."""
+    try:
+        want = match_columns_reference(reference, candidate, tol)
+    except TrackingError as exc:
+        with pytest.raises(TrackingError) as got:
+            match_columns(reference, candidate, tol)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    got = match_columns(reference, candidate, tol)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    return list(got[0])
+
+
+# Overlap matrices on which match_columns cannot return the rows' best columns
+# at once and must run its greedy loop.  With an identity reference the first
+# k rows of the candidate are the overlaps.  Each case: (candidate, k,
+# tolerance, the expected perm or the start of the expected message).
+FALLBACK_CASES = [
+    # rows 0 and 1 share their best column; greedy gives row 1 its runner-up
+    (np.array([[0.9, 0.4, 0.1], [0.8, -0.5, 0.2], [0.1, 0.2, -0.95]]), 3, 1e-6, [0, 1, 2]),
+    # row 1's runner-up is within the tolerance until row 0 takes it
+    (np.array([[0.1, -0.9, 0.2], [0.7, 0.7 - 5e-7, 0.1], [0.1, 0.2, 0.9]]), 3, 1e-6, [1, 0, 2]),
+    # distinct best columns, but row 1 beats its runner-up by exactly the tolerance
+    (np.array([[1.0, 0.0, 0.0], [0.0, 0.75, 0.5], [0.0, 0.0, 1.0]]), 3, 0.25,
+     "ambiguous match for state 1: best two overlaps 0.75 and 0.5 are within 0.25"),
+    # a shared best column, then a runner-up tie once row 0's column is taken
+    (np.array([[0.9, 0.1, 0.2], [0.8, 0.5, 0.5 - 4e-7], [0.1, 0.3, 0.8]]), 3, 1e-6,
+     "ambiguous match for state 1: best two overlaps 0.5 and 0.5 are within 1e-06"),
+    # a single reference column always runs the loop
+    (np.array([[-0.8, 0.5, 0.3], [0.5, 0.8, 0.3], [0.3, 0.3, 0.9]]), 1, 1e-6, [0]),
+    (np.array([[0.6, -0.6 + 4e-7, 0.1], [0.5, 0.8, 0.3], [0.3, 0.3, 0.9]]), 1, 1e-6,
+     "ambiguous match for state 0: best two overlaps 0.6 and 0.6 are within 1e-06"),
+]
+
+
 def test_match_columns_random_unrelated_bases_agree_or_raise_alike():
     rng = np.random.default_rng(7)
     for d in (3, 8, 25):
         for _ in range(10):
             a, b = random_orthogonal(rng, d), random_orthogonal(rng, d)
             for tol in (1e-6, 0.02):
-                try:
-                    want = match_columns_reference(a, b, tol)
-                except TrackingError as exc:
-                    with pytest.raises(TrackingError) as got:
-                        match_columns(a, b, tol)
-                    assert str(got.value) == str(exc)
-                    continue
-                got = match_columns(a, b, tol)
-                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                assert_agrees_with_reference(a, b, tol)
+    for candidate, k, tol, expected in FALLBACK_CASES:
+        got = assert_agrees_with_reference(np.eye(3)[:, :k], candidate, tol)
+        if isinstance(expected, str):
+            assert got.startswith(expected)
+        else:
+            assert got == expected
 
 
 def test_match_columns_planted_exact_ties_go_to_the_lowest_index():
