@@ -20,7 +20,6 @@ from .spectral import (
     track,
 )
 from .hft import (
-    DegenerateCluster,
     HftReport,
     RotatedSpectrum,
     StateSlopeRecord,

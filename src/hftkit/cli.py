@@ -17,7 +17,13 @@ import numpy as np
 
 from .fermi import FillingSpec, cusp_report, find_crossings, ground_state_curve
 from .hft import Sweep, hft_report, rotated_spectrum
-from .models import MODEL_NAMES, MODEL_SUMMARIES, build_model
+from .models import (
+    DEFAULT_OSC_NMAX,
+    DEFAULT_OSC_OMEGA,
+    MODEL_NAMES,
+    MODEL_SUMMARIES,
+    build_model,
+)
 from .spectral import DEFAULT_FD_STEP, TrackingError, match_columns
 from .svgplot import line_plot
 from .symmetry import _labels
@@ -44,9 +50,9 @@ class CsvTable:
 
     def __post_init__(self) -> None:
         self.header = tuple(self.header)
-        for row in self.rows:
-            if len(row) != len(self.header):
-                raise ValueError("ragged row: every row must match the header width")
+        rows, self.rows = self.rows, []
+        for row in rows:
+            self.append(row)
 
     def append(self, row) -> None:
         row = tuple(map(float, row))
@@ -58,7 +64,7 @@ class CsvTable:
         # "%.17g" is the formatter of _fmt, applied to a whole row at once.
         row_format = ",".join(["%.17g"] * len(self.header))
         lines = [",".join(self.header)]
-        lines.extend(row_format % tuple(map(float, row)) for row in self.rows)
+        lines.extend(row_format % row for row in self.rows)
         lines.extend(self.comments)
         return "\n".join(lines) + "\n"
 
@@ -87,14 +93,15 @@ class CsvTable:
 
 @dataclass
 class ScanConfig:
-    """Everything a grid run needs; built from parsed CLI flags."""
+    """Everything a grid run needs; built from parsed CLI flags, and the one
+    home of their defaults (the parser sets none)."""
 
     model: str
-    omega: float = 1.0
-    nmax: int = 12
+    omega: float = DEFAULT_OSC_OMEGA
+    nmax: int = DEFAULT_OSC_NMAX
     lam_lo: float = 0.0
     lam_hi: float = 1.0
-    steps: int = 2
+    steps: int = 101
     slopes: bool = False
     sorted_output: bool = False
     tol_deg: Optional[float] = None
@@ -220,7 +227,7 @@ def run_classify(config: ScanConfig, lam: float) -> tuple[int, str]:
     state matches no irrep row."""
     model = config.build()
     if model.symmetry is None or model.character_table is None:
-        return 2, f"model {model.name!r} carries no symmetry representation\n"
+        raise ValueError(f"model {model.name!r} carries no symmetry representation")
     rot = rotated_spectrum(model, lam, config.tol_deg)
     _, labels = _labels(rot.eigenvectors, model.symmetry, model.character_table)
     lines = [
@@ -246,16 +253,16 @@ def run_models() -> tuple[int, str]:
 
 def _add_model_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--model", required=True, choices=MODEL_NAMES)
-    sp.add_argument("--omega", type=float, default=1.0, help="oscillator frequency")
-    sp.add_argument("--nmax", type=int, default=12, help="oscillator shell cutoff")
-    sp.add_argument("--tol-deg", type=float, default=None, dest="tol_deg",
+    sp.add_argument("--omega", type=float, help="oscillator frequency")
+    sp.add_argument("--nmax", type=int, help="oscillator shell cutoff")
+    sp.add_argument("--tol-deg", type=float, dest="tol_deg",
                     help="degeneracy clustering tolerance (default: adaptive)")
 
 
 def _add_grid_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--lmin", type=float, required=True, dest="lam_lo")
     sp.add_argument("--lmax", type=float, required=True, dest="lam_hi")
-    sp.add_argument("--steps", type=int, default=101)
+    sp.add_argument("--steps", type=int)
 
 
 class _FloatLiteral:
@@ -274,9 +281,12 @@ class _FloatLiteral:
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and the parser class of its subcommands, that
-    reads any negative float, exponent form included, as an option value."""
+    reads any negative float, exponent form included, as an option value.
+    An option left out is left out of the namespace too, so its default
+    comes from ``ScanConfig``."""
 
     def __init__(self, *args, **kwargs) -> None:
+        kwargs.setdefault("argument_default", argparse.SUPPRESS)
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _FloatLiteral()
 
@@ -295,19 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--slopes", action="store_true", help="append per-branch slope columns")
     scan.add_argument("--sorted", action="store_true", dest="sorted_output",
                       help="plain ascending columns instead of tracked branches")
-    scan.add_argument("--out", default=None, help="CSV output path (default stdout)")
+    scan.add_argument("--out", help="CSV output path (default stdout)")
 
     fermi = sub.add_parser("fermi", help="filled-fermion ground energy and cusp slopes")
     _add_model_flags(fermi)
     _add_grid_flags(fermi)
     fermi.add_argument("--np", type=int, required=True, dest="n_particles")
-    fermi.add_argument("--out", default=None)
-    fermi.add_argument("--svg", default=None,
+    fermi.add_argument("--out")
+    fermi.add_argument("--svg",
                        help="prefix for the <prefix>_energy.svg / <prefix>_slope.svg pair")
 
     check = sub.add_parser("check", help="slope-identity residual report at one lambda")
     _add_model_flags(check)
-    check.add_argument("--fd-step", type=float, default=DEFAULT_FD_STEP, dest="fd_step")
+    check.add_argument("--fd-step", type=float, dest="fd_step")
     check.add_argument("--lambda", type=float, required=True, dest="lam")
 
     classify = sub.add_parser("classify", help="irrep label per state at one lambda")

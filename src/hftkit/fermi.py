@@ -80,11 +80,10 @@ def ground_energy(model: ParametricModel, lam: float, fill: FillingSpec) -> floa
 
 
 def _frontier_cluster(rot: RotatedSpectrum, n_p: int):
-    """The cluster straddling the occupation frontier, or None."""
-    if n_p >= rot.dim:
-        return None
+    """The cluster straddling the occupation frontier, or None.  Needs
+    1 <= n_p <= rot.dim, as ``FillingSpec.check`` ensures."""
     c = rot.cluster_of(n_p - 1)
-    return c if (c.start < n_p < c.stop) else None
+    return c if n_p in c else None
 
 
 def _ground_slopes(rot: RotatedSpectrum, fill: FillingSpec) -> tuple[float, float]:
@@ -106,7 +105,7 @@ def _ground_slopes(rot: RotatedSpectrum, fill: FillingSpec) -> tuple[float, floa
     block = np.sort(rot.cluster_slopes[c.start : c.stop])
     k = n_p - c.start
     low = strict + float(np.sum(block[:k]))
-    high = strict + float(np.sum(block[c.size - k :]))
+    high = strict + float(np.sum(block[len(c) - k :]))
     return high, low
 
 
@@ -152,7 +151,7 @@ def cusp_report(
         slope_left=slope_left,
         slope_right=slope_right,
         cluster_slopes=tuple(float(s) for s in rot.cluster_slopes[c.start : c.stop]),
-        frontier_indices=tuple(c.indices),
+        frontier_indices=tuple(c),
     )
 
 

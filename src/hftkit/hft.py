@@ -33,7 +33,6 @@ from .spectral import (
 
 DEGENERACY_REL_TOL = 1e-8
 UNIT_NORM_TOL = 1e-10
-BLOCK_DIAG_TOL = 1e-10
 BOUNDARY_WARNING_FACTOR = 10.0
 
 
@@ -43,25 +42,9 @@ def default_degeneracy_tol(eigenvalues: np.ndarray) -> float:
     return DEGENERACY_REL_TOL * (1.0 + radius)
 
 
-@dataclass(frozen=True)
-class DegenerateCluster:
-    """A maximal contiguous run of near-equal eigenvalues."""
-
-    start: int
-    size: int
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.size
-
-    @property
-    def indices(self) -> range:
-        return range(self.start, self.stop)
-
-
-def _partition(w: np.ndarray, tol: float) -> tuple[list[DegenerateCluster], np.ndarray]:
-    """The clusters of ascending w and the gap at each boundary between
-    neighbouring clusters, in order, from one diff."""
+def _partition(w: np.ndarray, tol: float) -> tuple[list[range], np.ndarray]:
+    """The clusters of ascending w, as ranges of state indices, and the gap
+    at each boundary between neighbouring clusters, in order, from one diff."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
     gaps = w[1:] - w[:-1]  # np.diff(w) bit for bit, without its wrapper
@@ -73,13 +56,13 @@ def _partition(w: np.ndarray, tol: float) -> tuple[list[DegenerateCluster], np.n
         return [], gaps
     breaks = (gaps > tol).nonzero()[0]
     bounds = [0, *(breaks + 1).tolist(), len(w)]
-    clusters = [DegenerateCluster(start=a, size=b - a) for a, b in zip(bounds, bounds[1:])]
-    return clusters, gaps[breaks]
+    return list(map(range, bounds[:-1], bounds[1:])), gaps[breaks]
 
 
-def cluster_degeneracies(eigenvalues: np.ndarray, tol: float) -> list[DegenerateCluster]:
+def cluster_degeneracies(eigenvalues: np.ndarray, tol: float) -> list[range]:
     """Partition ascending eigenvalues into maximal runs with consecutive
-    gaps <= tol.  tol = 0 clusters exactly equal values only."""
+    gaps <= tol, each the range of its state indices.  tol = 0 clusters
+    exactly equal values only."""
     return _partition(np.asarray(eigenvalues, dtype=float), tol)[0]
 
 
@@ -129,7 +112,7 @@ class RotatedSpectrum:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     tol: float
-    clusters: tuple[DegenerateCluster, ...]
+    clusters: tuple[range, ...]
     cluster_slopes: np.ndarray
     warnings: tuple[str, ...] = ()
 
@@ -141,9 +124,9 @@ class RotatedSpectrum:
     def eigenvectors(self) -> np.ndarray:
         return self.vectors
 
-    def cluster_of(self, index: int) -> DegenerateCluster:
+    def cluster_of(self, index: int) -> range:
         for c in self.clusters:
-            if c.start <= index < c.stop:
+            if index in c:
                 return c
         raise IndexError(f"state index {index} out of range")
 
@@ -171,7 +154,7 @@ def hft_consistent_basis(
     rotated = vectors.copy()
     slopes = np.empty(spectrum.dim)
     for c in clusters:
-        if c.size == 1:
+        if len(c) == 1:
             slopes[c.start] = expectation(hp, vectors[:, c.start])
             continue
         columns = vectors[:, c.start : c.stop]
@@ -187,8 +170,8 @@ def hft_consistent_basis(
         g = boundary_gaps[k]
         for c in clusters[k : k + 2]:
             warnings.append(
-                f"cluster boundary at states {c.start}..{c.stop - 1} has gap "
-                f"{g:.3e}, within 10x the degeneracy tolerance {tol:.3e}"
+                f"cluster boundary at states {c.start}..{c.stop - 1} has gap {g:.3e}, "
+                f"within {BOUNDARY_WARNING_FACTOR:g}x the degeneracy tolerance {tol:.3e}"
             )
     return RotatedSpectrum(
         lam=spectrum.lam,
@@ -297,7 +280,7 @@ def _oracle_references(
     d = rot.dim
     refs = np.empty(d)
     for c in rot.clusters:
-        if c.size == 1:
+        if len(c) == 1:
             i = c.start
             # Shrink the step when a neighbor is close so the sorted-index
             # branch stays pure across the difference stencil.
@@ -313,7 +296,7 @@ def _oracle_references(
             step = _fit_step(model, lam, h, 2.0, (side,))
             one_sided = sorted(
                 fd_derivative_onesided(lambda x, j=j: level(x, j), lam, step, side)
-                for j in c.indices
+                for j in c
             )
             refs[c.start : c.stop] = one_sided
     return refs

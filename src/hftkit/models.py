@@ -24,7 +24,6 @@ SIX_SITE_LAMBDA_BONDS = ((0, 5), (2, 3))
 
 DEFAULT_OSC_OMEGA = 1.0
 DEFAULT_OSC_NMAX = 12
-CONVERGENCE_OSC_NMAX = 40
 
 
 # --- six-site chain pair -------------------------------------------------

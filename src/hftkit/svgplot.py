@@ -56,7 +56,6 @@ def line_plot(
     xlabel: str = "",
     ylabel: str = "",
     markers: Sequence[tuple[float, float]] = (),
-    marker_color: str = "red",
 ) -> str:
     """Render one curve (and optional circle markers) as an SVG document."""
     if len(xs) != len(ys) or len(xs) < 2:
@@ -105,7 +104,7 @@ def line_plot(
     for mx, my in markers:
         parts.append(
             f'<circle cx="{_fmt(frame.px(mx))}" cy="{_fmt(frame.py(my))}" r="6" '
-            f'fill="none" stroke="{marker_color}" stroke-width="2"/>'
+            f'fill="none" stroke="red" stroke-width="2"/>'
         )
 
     if title:

@@ -219,9 +219,7 @@ VectorSet = Union[Spectrum, np.ndarray, Sequence[np.ndarray]]
 
 
 def _columns_of(states: VectorSet) -> np.ndarray:
-    if isinstance(states, Spectrum):
-        return states.eigenvectors
-    if hasattr(states, "eigenvectors"):  # RotatedSpectrum quacks the same way
+    if hasattr(states, "eigenvectors"):  # a Spectrum or a RotatedSpectrum
         return states.eigenvectors
     arr = np.asarray(states, dtype=float)
     if arr.ndim == 1:

@@ -78,7 +78,7 @@ def test_criterion_2_diagonal_identity_away_from_crossings():
         lam = float(lam)
         assert abs(lam - 1.0) > 1e-3
         rot = rotated_spectrum(model, lam)
-        assert all(c.size == 1 for c in rot.clusters)
+        assert all(len(c) == 1 for c in rot.clusters)
         worst_six = max(
             worst_six,
             float(np.abs(rot.cluster_slopes - six_site_sorted_slopes(lam)).max()),
@@ -133,7 +133,7 @@ def test_criterion_5_oscillator_shell_slopes():
     rot = rotated_spectrum(oscillator_model(1.0, 12), 0.0)
     worst = 0.0
     for c in rot.clusters:
-        nu = c.size - 1
+        nu = len(c) - 1
         if nu > 6:
             continue
         want = np.array(sorted((2 * m - nu) / 2.0 for m in range(nu + 1)))

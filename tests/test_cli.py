@@ -280,6 +280,64 @@ def test_fermi_svg_pair_is_wellformed_and_deterministic():
     assert len(circles) == 2
 
 
+# --- golden fermi output ---
+
+# The full stdout of fermi with a six-site cusp on a grid point (read from
+# the sweep) and an oscillator cusp refined between grid points: the energy
+# and slope columns and each cusp's one-sided slopes, digit for digit
+# (numpy 2.4.6, OpenBLAS 0.3.31).
+GOLDEN_FERMIS = {
+    "fermi --model six-site --np 2 --lmin 0.2 --lmax 2 --steps 19": (
+        "lambda,E0,dE0\n"
+        "0.20000000000000001,-2.8354893757515658,-0.070534561585859634\n"
+        "0.30000000000000004,-2.8442925306655784,-0.10547438309019452\n"
+        "0.40000000000000002,-2.8565713714171395,-0.14002800840280061\n"
+        "0.5,-2.8722813232690148,-0.17407765595569724\n"
+        "0.60000000000000009,-2.8913664589601913,-0.20751433915982231\n"
+        "0.69999999999999996,-2.9137604568666937,-0.24023937806910267\n"
+        "0.80000000000000004,-2.9393876913398134,-0.27216552697590835\n"
+        "0.90000000000000013,-2.9681644159311675,-0.30321770423814376\n"
+        "1,-3,-0.3333333333333337\n"
+        "1.1000000000000001,-3.1673990905493525,-1.6812311617377076\n"
+        "1.2,-3.3362291495737213,-1.6952833664712348\n"
+        "1.3,-3.5064382416273379,-1.7088100840160507\n"
+        "1.4000000000000001,-3.6779733838059507,-1.7218034876835673\n"
+        "1.5,-3.8507810593582117,-1.734260642832909\n"
+        "1.6000000000000001,-4.0248076809271911,-1.7461829819586645\n"
+        "1.7,-4.2000000000000002,-1.7575757575757567\n"
+        "1.8,-4.3763054614240193,-1.7684474938223524\n"
+        "1.9000000000000001,-4.5536725037400849,-1.7788094536697807\n"
+        "2,-4.7320508075688767,-1.7886751345948126\n"
+        "# cusp,1,-0.3333333333333337,-1.666666666666667\n"
+    ),
+    "fermi --model oscillator --nmax 6 --np 3 --lmin 0.1 --lmax 0.7 --steps 15": (
+        "lambda,E0,dE0\n"
+        "0.10000000000000001,4.9937303776054183,-0.12578672517003731\n"
+        "0.14285714285714285,4.9871627740516278,-0.18088186339671125\n"
+        "0.18571428571428572,4.978207772192075,-0.23726932485150909\n"
+        "0.22857142857142856,4.9668006331726673,-0.29539222703387014\n"
+        "0.27142857142857146,4.9528566868299766,-0.35573972784019681\n"
+        "0.31428571428571428,4.936269070047075,-0.41886079053895198\n"
+        "0.3571428571428571,4.9169058332787943,-0.48537997535476135\n"
+        "0.40000000000000002,4.8946063191474449,-0.55601569120765337\n"
+        "0.44285714285714284,4.8691766981675482,-0.63160135349084245\n"
+        "0.48571428571428577,4.840384527120154,-0.71310991859808626\n"
+        "0.52857142857142858,4.8079521738882409,-0.80168235643118757\n"
+        "0.5714285714285714,4.7715489233347084,-0.89866091655594582\n"
+        "0.61428571428571421,4.7066466519436236,-2.9535969748547055\n"
+        "0.65714285714285714,4.5763551742911002,-3.1289875105887495\n"
+        "0.69999999999999996,4.4382488304876411,-3.3182823152338821\n"
+        "# cusp,0.60184429884956503,-0.97344314717634028,-2.9052685501437612\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_FERMIS))
+def test_fermi_stdout_is_byte_identical_to_the_golden_output(argv, capsys):
+    assert main(argv.split()) == 0
+    assert capsys.readouterr() == (GOLDEN_FERMIS[argv], "")
+
+
 # --- check ---
 
 
@@ -314,6 +372,80 @@ def test_check_fails_on_truncation_error():
     code, text = run_check(config, 0.5)
     assert code == 1
     assert "FAIL" in text
+
+
+# --- golden check output ---
+
+# The full stdout of check through the six-site crossing and through the
+# degenerate oscillator shells at lambda = 0: the rotated cluster slopes and
+# their oracle references, digit for digit (numpy 2.4.6, OpenBLAS 0.3.31).
+GOLDEN_CHECKS = {
+    "check --model six-site --lambda 1.0": (
+        "model six-site at lambda=1\n"
+        "state   0: lhs=-6.666666666667e-01 reference=-6.666666666644e-01 residual=2.294e-12\n"
+        "state   1: lhs=-1.000000000000e+00 reference=-1.000000000006e+00 residual=5.811e-12\n"
+        "state   2: lhs= 3.333333333333e-01 reference= 3.333333333359e-01 residual=2.554e-12\n"
+        "state   3: lhs=-3.333333333333e-01 reference=-3.333333333359e-01 residual=2.554e-12\n"
+        "state   4: lhs= 1.000000000000e+00 reference= 1.000000000006e+00 residual=5.811e-12\n"
+        "state   5: lhs= 6.666666666667e-01 reference= 6.666666666644e-01 residual=2.294e-12\n"
+        "worst residual 5.811e-12 <= threshold 1e-06: PASS\n"
+    ),
+    "check --model oscillator --nmax 8 --lambda 0": (
+        "model oscillator at lambda=0\n"
+        "state   0: lhs= 0.000000000000e+00 reference= 0.000000000000e+00 residual=0.000e+00\n"
+        "state   1: lhs=-5.000000000000e-01 reference=-5.000000000096e-01 residual=9.567e-12\n"
+        "state   2: lhs= 5.000000000000e-01 reference= 5.000000000077e-01 residual=7.716e-12\n"
+        "state   3: lhs=-1.000000000000e+00 reference=-9.999999999991e-01 residual=8.505e-13\n"
+        "state   4: lhs=-9.194034422677e-17 reference= 1.332267629550e-11 residual=1.332e-11\n"
+        "state   5: lhs= 1.000000000000e+00 reference= 9.999999999940e-01 residual=6.032e-12\n"
+        "state   6: lhs=-1.500000000000e+00 reference=-1.500000000002e+00 residual=2.425e-12\n"
+        "state   7: lhs=-5.000000000000e-01 reference=-4.999999999900e-01 residual=1.005e-11\n"
+        "state   8: lhs= 5.000000000000e-01 reference= 5.000000000003e-01 residual=3.151e-13\n"
+        "state   9: lhs= 1.500000000000e+00 reference= 1.500000000031e+00 residual=3.055e-11\n"
+        "state  10: lhs=-2.000000000000e+00 reference=-2.000000000004e+00 residual=4.221e-12\n"
+        "state  11: lhs=-1.000000000000e+00 reference=-9.999999999740e-01 residual=2.602e-11\n"
+        "state  12: lhs=-1.658508362057e-16 reference= 2.072416312634e-11 residual=2.072e-11\n"
+        "state  13: lhs= 1.000000000000e+00 reference= 1.000000000051e+00 residual=5.096e-11\n"
+        "state  14: lhs= 2.000000000000e+00 reference= 2.000000000018e+00 residual=1.754e-11\n"
+        "state  15: lhs=-2.500000000000e+00 reference=-2.500000000013e+00 residual=1.342e-11\n"
+        "state  16: lhs=-1.500000000000e+00 reference=-1.500000000001e+00 residual=9.450e-13\n"
+        "state  17: lhs=-5.000000000000e-01 reference=-4.999999999870e-01 residual=1.301e-11\n"
+        "state  18: lhs= 5.000000000000e-01 reference= 5.000000000418e-01 residual=4.176e-11\n"
+        "state  19: lhs= 1.500000000000e+00 reference= 1.500000000038e+00 residual=3.795e-11\n"
+        "state  20: lhs= 2.500000000000e+00 reference= 2.500000000021e+00 residual=2.082e-11\n"
+        "state  21: lhs=-3.000000000000e+00 reference=-3.000000000040e+00 residual=4.038e-11\n"
+        "state  22: lhs=-2.000000000000e+00 reference=-2.000000000010e+00 residual=1.014e-11\n"
+        "state  23: lhs=-1.000000000000e+00 reference=-1.000000000014e+00 residual=1.395e-11\n"
+        "state  24: lhs=-3.076013031361e-16 reference= 1.480297366167e-11 residual=1.480e-11\n"
+        "state  25: lhs= 1.000000000000e+00 reference= 1.000000000029e+00 residual=2.876e-11\n"
+        "state  26: lhs= 2.000000000000e+00 reference= 2.000000000041e+00 residual=4.123e-11\n"
+        "state  27: lhs= 3.000000000000e+00 reference= 3.000000000055e+00 residual=5.518e-11\n"
+        "state  28: lhs=-3.500000000000e+00 reference=-3.500000000020e+00 residual=1.997e-11\n"
+        "state  29: lhs=-2.500000000000e+00 reference=-2.500000000037e+00 residual=3.710e-11\n"
+        "state  30: lhs=-1.500000000000e+00 reference=-1.500000000023e+00 residual=2.315e-11\n"
+        "state  31: lhs=-5.000000000000e-01 reference=-4.999999999633e-01 residual=3.669e-11\n"
+        "state  32: lhs= 5.000000000000e-01 reference= 5.000000000196e-01 residual=1.956e-11\n"
+        "state  33: lhs= 1.500000000000e+00 reference= 1.500000000014e+00 residual=1.427e-11\n"
+        "state  34: lhs= 2.500000000000e+00 reference= 2.500000000012e+00 residual=1.194e-11\n"
+        "state  35: lhs= 3.500000000000e+00 reference= 3.500000000039e+00 residual=3.921e-11\n"
+        "state  36: lhs=-4.000000000000e+00 reference=-3.999999999982e+00 residual=1.820e-11\n"
+        "state  37: lhs=-3.000000000000e+00 reference=-2.999999999987e+00 residual=1.291e-11\n"
+        "state  38: lhs=-2.000000000000e+00 reference=-2.000000000049e+00 residual=4.863e-11\n"
+        "state  39: lhs=-1.000000000000e+00 reference=-9.999999999266e-01 residual=7.339e-11\n"
+        "state  40: lhs=-1.591580710563e-16 reference= 7.105427357601e-11 residual=7.105e-11\n"
+        "state  41: lhs= 1.000000000000e+00 reference= 1.000000000007e+00 residual=6.551e-12\n"
+        "state  42: lhs= 2.000000000000e+00 reference= 2.000000000096e+00 residual=9.600e-11\n"
+        "state  43: lhs= 3.000000000000e+00 reference= 3.000000000031e+00 residual=3.150e-11\n"
+        "state  44: lhs= 4.000000000000e+00 reference= 4.000000000062e+00 residual=6.173e-11\n"
+        "worst residual 9.600e-11 <= threshold 1e-06: PASS\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_CHECKS))
+def test_check_stdout_is_byte_identical_to_the_golden_output(argv, capsys):
+    assert main(argv.split()) == 0
+    assert capsys.readouterr() == (GOLDEN_CHECKS[argv], "")
 
 
 # --- classify ---
@@ -364,11 +496,13 @@ def _mixed_cluster_model():
     )
 
 
-def test_classify_without_rep_is_usage_error(monkeypatch):
-    monkeypatch.setattr("hftkit.cli.build_model", lambda *a, **k: _rep_less_model())
-    code, text = run_classify(six_site_scan_config(), 0.5)
-    assert code == 2
-    assert "no symmetry" in text
+def test_classify_without_rep_is_usage_error(monkeypatch, capsys):
+    model = _rep_less_model()
+    monkeypatch.setattr("hftkit.cli.build_model", lambda *a, **k: model)
+    assert main("classify --model six-site --lambda 0.5".split()) == 2
+    assert capsys.readouterr() == (
+        "", f"error: model {model.name!r} carries no symmetry representation\n"
+    )
 
 
 def test_classify_marks_unresolvable_states_mixed(monkeypatch):
@@ -539,3 +673,124 @@ def test_main_check_takes_a_negative_exponent_form_lambda(capsys):
 def test_main_still_rejects_a_dash_word_as_a_value(capsys):
     assert main(["check", "--model", "oscillator", "--lambda", "-x"]) == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+# --- golden help text ---
+
+# The --help text of hftkit and of every subcommand at 80 columns.  The text
+# comes from argparse alone, so it pins every flag, metavar and help string;
+# the bytes are those of Python 3.11's argparse, whose layout other Python
+# versions change.
+GOLDEN_HELP = {
+    "--help": (
+        "usage: hftkit [-h] {scan,fermi,check,classify,crossings,models} ...\n"
+        "\n"
+        "spectra, slope identities, symmetry labels, and fermionic ground-state cusps\n"
+        "of parameter-dependent symmetric operators\n"
+        "\n"
+        "positional arguments:\n"
+        "  {scan,fermi,check,classify,crossings,models}\n"
+        "    scan                tracked eigenvalue branches over a lambda grid\n"
+        "    fermi               filled-fermion ground energy and cusp slopes\n"
+        "    check               slope-identity residual report at one lambda\n"
+        "    classify            irrep label per state at one lambda\n"
+        "    crossings           frontier level crossings in a window\n"
+        "    models              list the built-in model registry\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    "scan --help": (
+        "usage: hftkit scan [-h] --model {six-site,oscillator} [--omega OMEGA]\n"
+        "                   [--nmax NMAX] [--tol-deg TOL_DEG] --lmin LAM_LO --lmax\n"
+        "                   LAM_HI [--steps STEPS] [--slopes] [--sorted] [--out OUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --model {six-site,oscillator}\n"
+        "  --omega OMEGA         oscillator frequency\n"
+        "  --nmax NMAX           oscillator shell cutoff\n"
+        "  --tol-deg TOL_DEG     degeneracy clustering tolerance (default: adaptive)\n"
+        "  --lmin LAM_LO\n"
+        "  --lmax LAM_HI\n"
+        "  --steps STEPS\n"
+        "  --slopes              append per-branch slope columns\n"
+        "  --sorted              plain ascending columns instead of tracked branches\n"
+        "  --out OUT             CSV output path (default stdout)\n"
+    ),
+    "fermi --help": (
+        "usage: hftkit fermi [-h] --model {six-site,oscillator} [--omega OMEGA]\n"
+        "                    [--nmax NMAX] [--tol-deg TOL_DEG] --lmin LAM_LO --lmax\n"
+        "                    LAM_HI [--steps STEPS] --np N_PARTICLES [--out OUT]\n"
+        "                    [--svg SVG]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --model {six-site,oscillator}\n"
+        "  --omega OMEGA         oscillator frequency\n"
+        "  --nmax NMAX           oscillator shell cutoff\n"
+        "  --tol-deg TOL_DEG     degeneracy clustering tolerance (default: adaptive)\n"
+        "  --lmin LAM_LO\n"
+        "  --lmax LAM_HI\n"
+        "  --steps STEPS\n"
+        "  --np N_PARTICLES\n"
+        "  --out OUT\n"
+        "  --svg SVG             prefix for the <prefix>_energy.svg /\n"
+        "                        <prefix>_slope.svg pair\n"
+    ),
+    "check --help": (
+        "usage: hftkit check [-h] --model {six-site,oscillator} [--omega OMEGA]\n"
+        "                    [--nmax NMAX] [--tol-deg TOL_DEG] [--fd-step FD_STEP]\n"
+        "                    --lambda LAM\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --model {six-site,oscillator}\n"
+        "  --omega OMEGA         oscillator frequency\n"
+        "  --nmax NMAX           oscillator shell cutoff\n"
+        "  --tol-deg TOL_DEG     degeneracy clustering tolerance (default: adaptive)\n"
+        "  --fd-step FD_STEP\n"
+        "  --lambda LAM\n"
+    ),
+    "classify --help": (
+        "usage: hftkit classify [-h] --model {six-site,oscillator} [--omega OMEGA]\n"
+        "                       [--nmax NMAX] [--tol-deg TOL_DEG] --lambda LAM\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --model {six-site,oscillator}\n"
+        "  --omega OMEGA         oscillator frequency\n"
+        "  --nmax NMAX           oscillator shell cutoff\n"
+        "  --tol-deg TOL_DEG     degeneracy clustering tolerance (default: adaptive)\n"
+        "  --lambda LAM\n"
+    ),
+    "crossings --help": (
+        "usage: hftkit crossings [-h] --model {six-site,oscillator} [--omega OMEGA]\n"
+        "                        [--nmax NMAX] [--tol-deg TOL_DEG] --lmin LAM_LO --lmax\n"
+        "                        LAM_HI [--steps STEPS] --np N_PARTICLES\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --model {six-site,oscillator}\n"
+        "  --omega OMEGA         oscillator frequency\n"
+        "  --nmax NMAX           oscillator shell cutoff\n"
+        "  --tol-deg TOL_DEG     degeneracy clustering tolerance (default: adaptive)\n"
+        "  --lmin LAM_LO\n"
+        "  --lmax LAM_HI\n"
+        "  --steps STEPS\n"
+        "  --np N_PARTICLES\n"
+    ),
+    "models --help": (
+        "usage: hftkit models [-h]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_HELP))
+def test_help_text_is_byte_identical_to_the_golden_output(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv.split()) == 0
+    assert capsys.readouterr() == (GOLDEN_HELP[argv], "")

@@ -134,6 +134,18 @@ def test_find_crossings_full_filling_has_no_frontier():
     assert find_crossings(Sweep(six_site_model(), np.linspace(0.2, 2.0, 15)), FillingSpec(6)) == []
 
 
+def test_frontier_cluster_is_none_at_full_filling():
+    # every level in one cluster: it straddles any frontier but the last
+    model = ParametricModel(
+        a=SymmetricMatrix(np.zeros((3, 3))), b=SymmetricMatrix(np.diag([1.0, 2.0, 3.0]))
+    )
+    rot = rotated_spectrum(model, 0.0)
+    assert rot.clusters == (range(0, 3),)
+    assert _frontier_cluster(rot, 2) == range(0, 3)
+    assert _frontier_cluster(rot, 3) is None
+    assert abs(ground_slope_hft(model, 0.0, FillingSpec(3)) - 6.0) <= 1e-12
+
+
 def test_find_crossings_validates_window():
     with pytest.raises(ValueError):
         find_crossings(Sweep(six_site_model(), np.linspace(0.2, 2.0, 1)), TWO)

@@ -45,23 +45,23 @@ def v2_closed_form(lam):
 
 def test_cluster_six_site_crossing():
     clusters = cluster_degeneracies(np.array([-2.0, -1.0, -1.0, 1.0, 1.0, 2.0]), 1e-8)
-    spans = [(c.start, c.size) for c in clusters]
+    spans = [(c.start, len(c)) for c in clusters]
     assert spans == [(0, 1), (1, 2), (3, 2), (5, 1)]
 
 
 def test_cluster_singletons():
     clusters = cluster_degeneracies(np.array([1.0, 2.0, 3.0]), 1e-8)
-    assert [(c.start, c.size) for c in clusters] == [(0, 1), (1, 1), (2, 1)]
+    assert [(c.start, len(c)) for c in clusters] == [(0, 1), (1, 1), (2, 1)]
 
 
 def test_cluster_all_equal():
     clusters = cluster_degeneracies(np.array([0.0, 0.0, 0.0]), 1e-8)
-    assert [(c.start, c.size) for c in clusters] == [(0, 3)]
+    assert [(c.start, len(c)) for c in clusters] == [(0, 3)]
 
 
 def test_cluster_zero_tol_exact_equality():
     clusters = cluster_degeneracies(np.array([1.0, 1.0, 1.0 + 1e-15]), 0.0)
-    assert [(c.start, c.size) for c in clusters] == [(0, 2), (2, 1)]
+    assert [(c.start, len(c)) for c in clusters] == [(0, 2), (2, 1)]
 
 
 def test_cluster_partition_property():
@@ -70,11 +70,11 @@ def test_cluster_partition_property():
         w = np.sort(rng.standard_normal(rng.integers(1, 30)))
         tol = float(10.0 ** rng.uniform(-12, -1))
         clusters = cluster_degeneracies(w, tol)
-        covered = [i for c in clusters for i in c.indices]
+        covered = [i for c in clusters for i in c]
         assert covered == list(range(len(w)))
         for c in clusters:
             block = w[c.start : c.stop]
-            assert block.max() - block.min() <= (c.size - 1) * tol + 1e-15
+            assert block.max() - block.min() <= (len(c) - 1) * tol + 1e-15
             if c.stop < len(w):
                 assert w[c.stop] - w[c.stop - 1] > tol
 
@@ -168,9 +168,18 @@ def test_mixed_slope_matches_rotated_diagonal():
 def test_rotation_six_site_crossing_slopes():
     rot = rotated_spectrum(six_site_model(), 1.0)
     cluster = rot.cluster_of(1)
-    assert (cluster.start, cluster.size) == (1, 2)
+    assert (cluster.start, len(cluster)) == (1, 2)
     got = rot.cluster_slopes[1:3]
     assert np.abs(got - np.array([-1.0, 1.0 / 3.0])).max() <= 1e-10
+
+
+def test_cluster_of_names_the_cluster_or_rejects_the_index():
+    rot = rotated_spectrum(six_site_model(), 1.0)
+    pairs = [range(1, 3)] * 2 + [range(3, 5)] * 2
+    assert [rot.cluster_of(k) for k in range(6)] == [range(0, 1), *pairs, range(5, 6)]
+    for k in (-1, 6):
+        with pytest.raises(IndexError, match=rf"^state index {k} out of range$"):
+            rot.cluster_of(k)
 
 
 def test_rotation_oscillator_first_shell():
@@ -249,7 +258,7 @@ def test_report_six_site_crossing_multiset():
 def test_report_oscillator_shell_slopes_exact():
     rot = rotated_spectrum(oscillator_model(1.0, 12), 0.0)
     for c in rot.clusters:
-        nu = c.size - 1
+        nu = len(c) - 1
         want = sorted((m - (nu - m)) / 2.0 for m in range(nu + 1))
         got = rot.cluster_slopes[c.start : c.stop]
         assert np.abs(got - np.array(want)).max() <= 1e-10
@@ -400,8 +409,8 @@ def test_stored_eigenvectors_equal_the_rotated_product():
         for c in rot.clusters:
             blocks[c.start : c.stop, c.start : c.stop] = True
             block = rotation[c.start : c.stop, c.start : c.stop]
-            assert np.abs(block.T @ block - np.eye(c.size)).max() <= 1e-14
-            if c.size == 1:
+            assert np.abs(block.T @ block - np.eye(len(c))).max() <= 1e-14
+            if len(c) == 1:
                 assert np.array_equal(rot.eigenvectors[:, c.start], raw[:, c.start])
         assert np.abs(rotation[~blocks]).max() <= 1e-14
         product = raw @ np.where(blocks, rotation, 0.0)
@@ -421,14 +430,17 @@ def test_rotated_spectrum_is_one_record_per_lambda():
     assert list(fields) == [
         "lam", "eigenvalues", "vectors", "tol", "clusters", "cluster_slopes", "warnings"
     ]
-    matrices = [name for name, value in fields.items() if np.ndim(value) == 2]
+    matrices = [
+        name for name, value in fields.items()
+        if isinstance(value, np.ndarray) and value.ndim == 2
+    ]
     assert matrices == ["vectors"]
     assert rot.eigenvectors is rot.vectors
     assert (rot.lam, rot.dim) == (0.0, model.dim)
     assert np.array_equal(rot.eigenvalues, model.spectrum(0.0).eigenvalues)
     assert rot.tol == default_degeneracy_tol(rot.eigenvalues)
     assert rotated_spectrum(model, 0.0, tol=1e-3).tol == 1e-3
-    assert [f.name for f in dataclasses.fields(rot.clusters[0])] == ["start", "size"]
+    assert all(type(c) is range for c in rot.clusters)
 
 
 def cluster_loop_reference(w, tol):
