@@ -28,6 +28,7 @@ from .hft import (
     continuity_overlap,
     default_degeneracy_tol,
     expectation,
+    hft_basis,
     hft_consistent_basis,
     hft_report,
     mixed_slope,

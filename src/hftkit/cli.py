@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .fermi import FillingSpec, cusp_report, find_crossings, ground_state_curve
-from .hft import Sweep, hft_report, rotated_spectrum
+from .hft import Sweep, hft_basis, hft_report, rotated_spectrum
 from .models import (
     DEFAULT_OSC_NMAX,
     DEFAULT_OSC_OMEGA,
@@ -222,33 +222,33 @@ def run_check(config: ScanConfig, lam: float) -> tuple[int, str]:
     return (0 if ok else 1), "\n".join(lines) + "\n"
 
 
-def run_classify(config: ScanConfig, lam: float) -> tuple[int, str]:
+def run_classify(config: ScanConfig, lam: float) -> str:
     """Irrep label per state, ascending in eigenvalue; MIXED where the
     state matches no irrep row."""
     model = config.build()
     if model.symmetry is None or model.character_table is None:
         raise ValueError(f"model {model.name!r} carries no symmetry representation")
-    rot = rotated_spectrum(model, lam, config.tol_deg)
-    _, labels = _labels(rot.eigenvectors, model.symmetry, model.character_table)
+    basis = hft_basis(model.spectrum(lam), model.derivative(lam), config.tol_deg)
+    _, labels = _labels(basis.eigenvectors, model.symmetry, model.character_table)
     lines = [
         f"{k} {_fmt(e)} {label or 'MIXED'}"
-        for k, (e, label) in enumerate(zip(rot.eigenvalues, labels))
+        for k, (e, label) in enumerate(zip(basis.eigenvalues, labels))
     ]
-    return 0, "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
 
 
-def run_crossings(config: ScanConfig) -> tuple[int, str]:
+def run_crossings(config: ScanConfig) -> str:
     if config.n_particles is None:
         raise ValueError("crossings requires --np")
     model = config.build()
     fill = FillingSpec(config.n_particles)
     found = find_crossings(Sweep(model, config.grid(), config.tol_deg), fill)
-    return 0, "".join(f"{_fmt(lam0)}\n" for lam0 in found)
+    return "".join(f"{_fmt(lam0)}\n" for lam0 in found)
 
 
-def run_models() -> tuple[int, str]:
+def run_models() -> str:
     lines = [f"{name}: {MODEL_SUMMARIES[name]}" for name in MODEL_NAMES]
-    return 0, "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def _add_model_flags(sp: argparse.ArgumentParser) -> None:
@@ -347,9 +347,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "models":
-        code, text = run_models()
-        sys.stdout.write(text)
-        return code
+        sys.stdout.write(run_models())
+        return 0
     config = _config_from(args)
     if args.command == "scan":
         _emit(run_scan(config).render(), config.out)
@@ -365,13 +364,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
         return code
     if args.command == "classify":
-        code, text = run_classify(config, args.lam)
-        sys.stdout.write(text)
-        return code
+        sys.stdout.write(run_classify(config, args.lam))
+        return 0
     if args.command == "crossings":
-        code, text = run_crossings(config)
-        sys.stdout.write(text)
-        return code
+        sys.stdout.write(run_crossings(config))
+        return 0
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .hft import RotatedSpectrum, Sweep, hft_consistent_basis, rotated_spectrum
+from .hft import RotatedSpectrum, Sweep, hft_basis, rotated_spectrum
 from .spectral import ParametricModel, TrackingError, track
 from .symmetry import _labels
 
@@ -165,7 +165,7 @@ def _branch(
     ambiguous, or lands on a state degenerate within ``tol``, whose raw
     eigenvector is an arbitrary mixture of the branches that meet there,
     the branch is tracked again in the same spectrum rotated by
-    :func:`hft_consistent_basis`.  Its energy is then the Rayleigh quotient
+    :func:`hft_basis`.  Its energy is then the Rayleigh quotient
     of the rotated column: inside a cluster the rotated columns carry
     sorted, not per-branch, eigenvalues.
     """
@@ -179,7 +179,7 @@ def _branch(
         unresolved = True
     if unresolved:
         try:
-            tracked = track(column, hft_consistent_basis(spectrum, model.b, tol))
+            tracked = track(column, hft_basis(spectrum, model.b, tol))
         except TrackingError as exc:
             raise TrackingError(
                 f"cannot tell which branch continues the tracked frontier state at "

@@ -131,6 +131,40 @@ class RotatedSpectrum:
         raise IndexError(f"state index {index} out of range")
 
 
+def _rotate_clusters(
+    spectrum: Spectrum, hp: SymmetricMatrix, tol: float
+) -> tuple[list[range], np.ndarray, np.ndarray, np.ndarray]:
+    """The clusters of the spectrum under tol, the gaps at the boundaries
+    between them, the eigenvectors with each cluster of size g > 1 mixed by
+    the eigenvector matrix of its g x g block B_ij = <psi_i|hp|psi_j>
+    (read-only), and the block eigenvalues (ascending) as the slopes of the
+    cluster states.  Slope entries of singleton states are left unset."""
+    if spectrum.dim != hp.dim:
+        raise ValueError("spectrum and derivative matrix dimensions differ")
+    clusters, boundary_gaps = _partition(spectrum.eigenvalues, tol)
+    vectors = spectrum.eigenvectors
+    rotated = vectors.copy()
+    slopes = np.empty(spectrum.dim)
+    for c in clusters:
+        if len(c) > 1:
+            columns = vectors[:, c.start : c.stop]
+            sub = eigh(SymmetricMatrix(columns.T @ hp.entries @ columns))
+            rotated[:, c.start : c.stop] = columns @ sub.eigenvectors
+            slopes[c.start : c.stop] = sub.eigenvalues
+    rotated.flags.writeable = False
+    return clusters, boundary_gaps, rotated, slopes
+
+
+def hft_basis(spectrum: Spectrum, hp: SymmetricMatrix, tol: Optional[float] = None) -> Spectrum:
+    """The spectrum with each degenerate cluster rotated so the cluster block
+    of hp is diagonal: the vectors of :func:`hft_consistent_basis`, without
+    its slopes and warnings."""
+    if tol is None:
+        tol = default_degeneracy_tol(spectrum.eigenvalues)
+    rotated = _rotate_clusters(spectrum, hp, tol)[2]
+    return Spectrum(lam=spectrum.lam, eigenvalues=spectrum.eigenvalues, eigenvectors=rotated)
+
+
 def hft_consistent_basis(
     spectrum: Spectrum, hp: SymmetricMatrix, tol: Optional[float] = None
 ) -> RotatedSpectrum:
@@ -144,24 +178,14 @@ def hft_consistent_basis(
     ``BOUNDARY_WARNING_FACTOR`` of the tolerance, where the split between
     "degenerate" and "separate" is numerically ill-conditioned.
     """
-    if spectrum.dim != hp.dim:
-        raise ValueError("spectrum and derivative matrix dimensions differ")
     w = spectrum.eigenvalues
     if tol is None:
         tol = default_degeneracy_tol(w)
-    clusters, boundary_gaps = _partition(w, tol)
+    clusters, boundary_gaps, rotated, slopes = _rotate_clusters(spectrum, hp, tol)
     vectors = spectrum.eigenvectors
-    rotated = vectors.copy()
-    slopes = np.empty(spectrum.dim)
     for c in clusters:
         if len(c) == 1:
             slopes[c.start] = expectation(hp, vectors[:, c.start])
-            continue
-        columns = vectors[:, c.start : c.stop]
-        sub = eigh(SymmetricMatrix(columns.T @ hp.entries @ columns))
-        rotated[:, c.start : c.stop] = columns @ sub.eigenvectors
-        slopes[c.start : c.stop] = sub.eigenvalues
-    rotated.flags.writeable = False
 
     # Boundary k sits between clusters k and k + 1; its gap is reported
     # once for each of the two, left cluster first.
@@ -269,33 +293,36 @@ def _oracle_references(
     assert oracle is not None
     levels: dict[float, np.ndarray] = {}
 
-    def level(x: float, i: int) -> float:
+    def level(x: float) -> np.ndarray:
         # Every stencil reads all d levels at a handful of points; the oracle
         # is pure, so each point is evaluated once.
         if x not in levels:
             levels[x] = oracle(x)
-        return float(levels[x][i])
+        return levels[x]
 
     w = rot.eigenvalues
     d = rot.dim
     refs = np.empty(d)
+    singles = np.array([c.start for c in rot.clusters if len(c) == 1], dtype=int)
+    # Shrink the step when a neighbor is close so the sorted-index branch
+    # stays pure across the difference stencil.
+    gaps = w[1:] - w[:-1]
+    gap = np.minimum(np.append(math.inf, gaps), np.append(gaps, math.inf))[singles]
+    raw_steps = np.maximum(np.minimum(h, gap / 4.0), 1e-8)
+    steps = np.empty(len(singles))
+    for raw in np.unique(raw_steps):
+        steps[raw_steps == raw] = _fit_step(model, lam, float(raw), 1.0, (+1, -1))
+    # The Richardson stencil is elementwise, so all states that share a step
+    # are differenced as one array.
+    for step in np.unique(steps):
+        idx = singles[steps == step]
+        refs[idx] = fd_derivative(lambda x: level(x)[idx], lam, float(step))
     for c in rot.clusters:
-        if len(c) == 1:
-            i = c.start
-            # Shrink the step when a neighbor is close so the sorted-index
-            # branch stays pure across the difference stencil.
-            gap = math.inf
-            if i > 0:
-                gap = min(gap, w[i] - w[i - 1])
-            if i + 1 < d:
-                gap = min(gap, w[i + 1] - w[i])
-            hi_step = _fit_step(model, lam, max(min(h, gap / 4.0), 1e-8), 1.0, (+1, -1))
-            refs[i] = fd_derivative(lambda x, i=i: level(x, i), lam, hi_step)
-        else:
+        if len(c) > 1:
             side = +1 if model.contains(lam + 2.0 * h) else -1
             step = _fit_step(model, lam, h, 2.0, (side,))
             one_sided = sorted(
-                fd_derivative_onesided(lambda x, j=j: level(x, j), lam, step, side)
+                fd_derivative_onesided(lambda x, j=j: float(level(x)[j]), lam, step, side)
                 for j in c
             )
             refs[c.start : c.stop] = one_sided

@@ -107,37 +107,41 @@ def oscillator_dim(n_max: int) -> int:
     return (n_max + 1) * (n_max + 2) // 2
 
 
-def _position_element(omega: float, a: int, b: int) -> float:
-    # <a|x|b> for the 1D oscillator of frequency omega; nonzero only for
-    # |a - b| = 1.
-    if abs(a - b) != 1:
-        return 0.0
-    return math.sqrt(max(a, b) / (2.0 * omega))
+def _shell_indices(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """m and n of every basis state, in the order of :func:`oscillator_basis`:
+    state (m, n) sits at index nu (nu + 1) / 2 + m with nu = m + n."""
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    nu = np.repeat(np.arange(n_max + 1), np.arange(1, n_max + 2))
+    m = np.arange(len(nu)) - nu * (nu + 1) // 2
+    return m, nu - m
 
 
 def oscillator_xy_matrix(omega: float, n_max: int) -> SymmetricMatrix:
     """The x*y coupling in the truncated product basis.  It connects |m, n>
-    to |m+-1, n+-1> only, so its diagonal vanishes identically."""
+    to |m+-1, n+-1> only, so its diagonal vanishes identically.  The
+    element is <m|x|m'> <n|y|n'>, where <a|x|a+-1> = sqrt(max(a, a+-1) / (2 omega))."""
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    basis = oscillator_basis(n_max)
-    index = {state: i for i, state in enumerate(basis)}
-    d = len(basis)
+    m, n = _shell_indices(n_max)
+    d = len(m)
     xy = np.zeros((d, d))
-    for i, (m, n) in enumerate(basis):
-        for dm in (-1, 1):
-            for dn in (-1, 1):
-                other = (m + dm, n + dn)
-                j = index.get(other)
-                if j is not None:
-                    xy[i, j] = _position_element(omega, m, other[0]) * _position_element(
-                        omega, n, other[1]
-                    )
+    rows = np.arange(d)
+    for dm in (-1, 1):
+        for dn in (-1, 1):
+            m2, n2 = m + dm, n + dn
+            inside = (m2 >= 0) & (n2 >= 0) & (m2 + n2 <= n_max)
+            nu2 = m2 + n2
+            cols = nu2 * (nu2 + 1) // 2 + m2
+            x = np.sqrt(np.maximum(m, m2) / (2.0 * omega))
+            y = np.sqrt(np.maximum(n, n2) / (2.0 * omega))
+            xy[rows[inside], cols[inside]] = (x * y)[inside]
     return SymmetricMatrix(xy)
 
 
 def _oscillator_diagonal(omega: float, n_max: int) -> np.ndarray:
-    return np.diag([(m + n + 1) * omega for m, n in oscillator_basis(n_max)])
+    m, n = _shell_indices(n_max)
+    return np.diag((m + n + 1) * omega)
 
 
 def oscillator_matrix(omega: float, lam: float, n_max: int) -> SymmetricMatrix:
@@ -177,7 +181,9 @@ class OscillatorAnalytic:
         return (2 * m + 1) / (4.0 * math.sqrt(k1)) - (2 * n + 1) / (4.0 * math.sqrt(k2))
 
     def sorted_eigenvalues(self, lam: float, n_max: int) -> np.ndarray:
-        return np.sort([self.energy(lam, m, n) for m, n in oscillator_basis(n_max)])
+        m, n = _shell_indices(n_max)
+        k1, k2 = self._stiffnesses(lam)
+        return np.sort((m + 0.5) * math.sqrt(k1) + (n + 0.5) * math.sqrt(k2))
 
 
 def oscillator_analytic(omega: float, lam: float, m: int, n: int) -> tuple[float, float]:
@@ -205,21 +211,17 @@ def oscillator_product_expectation(omega: float, nu: int, i: int) -> float:
 def oscillator_rep(n_max: int) -> GroupRep:
     """C2v acting on the product basis: parity (-1)^(m+n) for the half-turn,
     the |m, n> -> |n, m> swap and their product for the two reflections."""
-    basis = oscillator_basis(n_max)
-    index = {state: i for i, state in enumerate(basis)}
-    d = len(basis)
-    e = np.eye(d)
-    parity = np.array([(-1.0) ** (m + n) for m, n in basis])
-    u1 = np.diag(parity)
-    u2 = np.zeros((d, d))
-    for i, (m, n) in enumerate(basis):
-        u2[index[(n, m)], i] = 1.0
-    return GroupRep(
-        name="C2v",
-        labels=("E", "C2", "sigma_v1", "sigma_v2"),
-        # u1 @ u2 is u2 with row i scaled by parity i.
-        matrices=np.stack([e, u1, u2, parity[:, None] * u2]),
-    )
+    m, n = _shell_indices(n_max)
+    nu = m + n
+    parity = np.where(nu % 2 == 0, 1.0, -1.0)
+    i = np.arange(len(nu))
+    mats = np.zeros((4, len(nu), len(nu)))
+    mats[0, i, i] = 1.0
+    mats[1, i, i] = parity
+    mats[2, nu * (nu + 1) // 2 + n, i] = 1.0  # |m, n> -> |n, m>
+    # u1 @ u2 is u2 with row i scaled by parity i.
+    np.multiply(parity[:, None], mats[2], out=mats[3])
+    return GroupRep(name="C2v", labels=("E", "C2", "sigma_v1", "sigma_v2"), matrices=mats)
 
 
 def oscillator_model(

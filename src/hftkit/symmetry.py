@@ -31,6 +31,17 @@ class ClassificationError(ValueError):
     """A vector matches no irrep row: it mixes different symmetries."""
 
 
+def _row_action(u: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """For a matrix with at most one nonzero per row, the column index and
+    the value of that entry in each row (column 0 and value 0 for a zero
+    row); None for any other matrix."""
+    nonzero = u != 0.0
+    if np.any(np.count_nonzero(nonzero, axis=1) > 1):
+        return None
+    cols = nonzero.argmax(axis=1)
+    return cols, u[np.arange(u.shape[0]), cols]
+
+
 @dataclass(frozen=True)
 class GroupRep:
     """Ordered list of (label, orthogonal matrix) realizing a finite group.
@@ -42,6 +53,10 @@ class GroupRep:
     name: str
     labels: tuple[str, ...]
     matrices: np.ndarray  # shape (order, dim, dim)
+    # Per element, its _row_action: (column, value) per row, or None.
+    _actions: tuple[Optional[tuple[np.ndarray, np.ndarray]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         mats = np.array(self.matrices, dtype=float)
@@ -52,6 +67,7 @@ class GroupRep:
         mats.flags.writeable = False
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "_actions", tuple(_row_action(u) for u in mats))
 
     @property
     def order(self) -> int:
@@ -63,6 +79,17 @@ class GroupRep:
 
     def elements(self) -> Iterator[tuple[str, np.ndarray]]:
         return zip(self.labels, self.matrices)
+
+    def act(self, k: int, v: np.ndarray) -> np.ndarray:
+        """U(g_k) @ v for a vector or a d x n array v.  An element with at
+        most one nonzero per row, such as a signed permutation, is applied as
+        a gather and a scale.  Each output entry of the product is then a
+        single term, so both give the same bits, up to the sign of a zero."""
+        action = self._actions[k]
+        if action is None:
+            return self.matrices[k] @ v
+        cols, vals = action
+        return v[cols] * vals.reshape((-1,) + (1,) * (v.ndim - 1))
 
 
 @dataclass(frozen=True)
@@ -177,10 +204,10 @@ class IrrepLabel:
 
 def _measured_characters(columns: np.ndarray, rep: GroupRep) -> np.ndarray:
     """<v|U(g)|v> for every unit column v of a d x k array, as an |G| x k
-    array, with one matrix product per group element."""
+    array, with one application of each group element."""
     if np.any(np.abs(np.linalg.norm(columns, axis=0) - 1.0) > _UNIT_TOL):
         raise ValueError("classification requires a unit vector")
-    return np.array([np.sum(columns * (u @ columns), axis=0) for u in rep.matrices])
+    return np.array([np.sum(columns * rep.act(k, columns), axis=0) for k in range(rep.order)])
 
 
 def _check_compatible(rep: GroupRep, table: CharacterTable) -> None:
@@ -260,8 +287,8 @@ def project(
     chars = table.rows[label]
     v = np.asarray(v, dtype=float)
     out = np.zeros_like(v)
-    for chi, u in zip(chars, rep.matrices):
-        out += chi * (u @ v)
+    for k, chi in enumerate(chars):
+        out += chi * rep.act(k, v)
     return out / rep.order
 
 

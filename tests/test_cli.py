@@ -450,10 +450,171 @@ def test_check_stdout_is_byte_identical_to_the_golden_output(argv, capsys):
 
 # --- classify ---
 
+# The full stdout of classify on the degenerate oscillator shells at
+# lambda = 0 (labels read in the rotated basis), at a generic lambda, and
+# through the six-site crossing, digit for digit (numpy 2.4.6, OpenBLAS
+# 0.3.31).
+GOLDEN_CLASSIFY = {
+    "classify --model oscillator --nmax 8 --lambda 0": (
+        "0 1 A1\n"
+        "1 2 B2\n"
+        "2 2 B1\n"
+        "3 3 A1\n"
+        "4 3 A2\n"
+        "5 3 A1\n"
+        "6 4 B2\n"
+        "7 4 B1\n"
+        "8 4 B2\n"
+        "9 4 B1\n"
+        "10 5 A1\n"
+        "11 5 A2\n"
+        "12 5 A1\n"
+        "13 5 A2\n"
+        "14 5 A1\n"
+        "15 6 B2\n"
+        "16 6 B1\n"
+        "17 6 B2\n"
+        "18 6 B1\n"
+        "19 6 B2\n"
+        "20 6 B1\n"
+        "21 7 A1\n"
+        "22 7 A2\n"
+        "23 7 A1\n"
+        "24 7 A2\n"
+        "25 7 A1\n"
+        "26 7 A2\n"
+        "27 7 A1\n"
+        "28 8 B2\n"
+        "29 8 B1\n"
+        "30 8 B2\n"
+        "31 8 B1\n"
+        "32 8 B2\n"
+        "33 8 B1\n"
+        "34 8 B2\n"
+        "35 8 B1\n"
+        "36 9 A1\n"
+        "37 9 A2\n"
+        "38 9 A1\n"
+        "39 9 A2\n"
+        "40 9 A1\n"
+        "41 9 A2\n"
+        "42 9 A1\n"
+        "43 9 A2\n"
+        "44 9 A1\n"
+    ),
+    "classify --model oscillator --nmax 12 --lambda 0.37": (
+        "0 0.98209769219591081 A1\n"
+        "1 1.7758230857121917 B2\n"
+        "2 2.1525676833061111 B1\n"
+        "3 2.569548480110925 A1\n"
+        "4 2.9462930769408664 A2\n"
+        "5 3.3230376744472778 A1\n"
+        "6 3.3632741264827564 B2\n"
+        "7 3.7400185671952686 B1\n"
+        "8 4.1167631090344035 B2\n"
+        "9 4.1570001060826351 A1\n"
+        "10 4.4935076871146382 B1\n"
+        "11 4.5337442256310192 A2\n"
+        "12 4.9104886321034362 A1\n"
+        "13 4.9507912579066451 B2\n"
+        "14 5.2872331478821382 A2\n"
+        "15 5.3275041822371261 B1\n"
+        "16 5.6639777144216152 A1\n"
+        "17 5.7042336157715665 B2\n"
+        "18 5.7445971586142752 A1\n"
+        "19 6.0809706482345991 B1\n"
+        "20 6.1212767501325036 A2\n"
+        "21 6.4577114938100495 B2\n"
+        "22 6.4979880321320973 A1\n"
+        "23 6.5429893455686123 B2\n"
+        "24 6.8344550735897567 B1\n"
+        "25 6.8747149308750162 A2\n"
+        "26 6.9180728152679922 B1\n"
+        "27 7.2514497577178405 A1\n"
+        "28 7.2938090443088885 B2\n"
+        "29 7.3397874675729602 A1\n"
+        "30 7.6281893132804646 A2\n"
+        "31 7.6699469503257234 B1\n"
+        "32 7.7140130332103807 A2\n"
+        "33 8.0049331536123187 A1\n"
+        "34 8.0463274148167674 B2\n"
+        "35 8.0891506645187725 A1\n"
+        "36 8.2245779379379158 B2\n"
+        "37 8.4228651700985004 B1\n"
+        "38 8.46488180758395 A2\n"
+        "39 8.5795715489991 B1\n"
+        "40 8.7995345825768236 B2\n"
+        "41 8.8409871327135114 A1\n"
+        "42 8.9401024660090496 B2\n"
+        "43 9.0488269081360517 A1\n"
+        "44 9.1763661572841464 B1\n"
+        "45 9.2173323866606758 A2\n"
+        "46 9.3051910601020627 B1\n"
+        "47 9.3993358799103071 A2\n"
+        "48 9.5938528657973965 A1\n"
+        "49 9.6739126495641905 B2\n"
+        "50 9.755898260731394 A1\n"
+        "51 9.9705441797953878 A2\n"
+        "52 10.045521745552596 B1\n"
+        "53 10.117600306351333 A2\n"
+        "54 10.347464144069743 A1\n"
+        "55 10.419569239264783 B2\n"
+        "56 10.442885773609213 B2\n"
+        "57 10.483523293365927 A1\n"
+        "58 10.725262185066178 B1\n"
+        "59 10.795986238103968 B1\n"
+        "60 10.852854378701863 A2\n"
+        "61 11.023087803717949 B2\n"
+        "62 11.175072045552721 B2\n"
+        "63 11.225003568790436 A1\n"
+        "64 11.337094084258103 B1\n"
+        "65 11.340662468134061 A1\n"
+        "66 11.557424014545211 B1\n"
+        "67 11.599695142881052 A2\n"
+        "68 11.616774255353745 A2\n"
+        "69 11.667655585752597 B2\n"
+        "70 11.907756288907796 A1\n"
+        "71 11.977047171444983 A1\n"
+        "72 12.014716569245714 B1\n"
+        "73 12.214456194570904 A2\n"
+        "74 12.357452681520405 A2\n"
+        "75 12.377793143884313 B2\n"
+        "76 12.537376197610913 A1\n"
+        "77 12.741559830576371 A1\n"
+        "78 12.756048275677225 B1\n"
+        "79 12.876639577740324 A2\n"
+        "80 13.148409084194224 B2\n"
+        "81 13.231948834266479 A1\n"
+        "82 13.553687329740173 B1\n"
+        "83 13.60262982812019 A2\n"
+        "84 13.970677194524345 B2\n"
+        "85 13.987730182273472 A1\n"
+        "86 14.386136258545486 A2\n"
+        "87 14.398222014055829 B1\n"
+        "88 14.796677396202295 A1\n"
+        "89 15.218202644311964 A2\n"
+        "90 15.64962892344912 A1\n"
+    ),
+    "classify --model six-site --lambda 1.0": (
+        "0 -1.9999999999999996 B2\n"
+        "1 -1.0000000000000002 A2\n"
+        "2 -0.99999999999999989 A1\n"
+        "3 0.99999999999999989 B2\n"
+        "4 1 B1\n"
+        "5 1.9999999999999998 A1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_CLASSIFY))
+def test_classify_stdout_is_byte_identical_to_the_golden_output(argv, capsys):
+    assert main(argv.split()) == 0
+    assert capsys.readouterr() == (GOLDEN_CLASSIFY[argv], "")
+
+
 
 def test_classify_six_site_listing():
-    code, text = run_classify(six_site_scan_config(), 0.5)
-    assert code == 0
+    text = run_classify(six_site_scan_config(), 0.5)
     labels = [line.split()[2] for line in text.splitlines()]
     assert labels == ["B2", "A1", "A2", "B1", "B2", "A1"]
 
@@ -461,16 +622,14 @@ def test_classify_six_site_listing():
 def test_classify_six_site_after_crossing():
     # branches swap sorted positions above lambda=1 (the closed forms put
     # the B2 branch below B1 there)
-    code, text = run_classify(six_site_scan_config(), 1.5)
-    assert code == 0
+    text = run_classify(six_site_scan_config(), 1.5)
     labels = [line.split()[2] for line in text.splitlines()]
     assert labels == ["B2", "A2", "A1", "B2", "B1", "A1"]
 
 
 def test_classify_oscillator_ground_state():
     config = ScanConfig(model="oscillator", omega=1.0, nmax=8)
-    code, text = run_classify(config, 0.3)
-    assert code == 0
+    text = run_classify(config, 0.3)
     assert text.splitlines()[0].split()[2] == "A1"
 
 
@@ -507,8 +666,7 @@ def test_classify_without_rep_is_usage_error(monkeypatch, capsys):
 
 def test_classify_marks_unresolvable_states_mixed(monkeypatch):
     monkeypatch.setattr("hftkit.cli.build_model", lambda *a, **k: _mixed_cluster_model())
-    code, text = run_classify(six_site_scan_config(), 0.5)
-    assert code == 0
+    text = run_classify(six_site_scan_config(), 0.5)
     labels = [line.split()[2] for line in text.splitlines()]
     assert labels == ["MIXED", "MIXED"]
 

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import hftkit.models
+from hftkit.hft import _fit_step, _oracle_references, rotated_spectrum
 from hftkit.models import (
     OscillatorAnalytic,
     build_model,
@@ -23,7 +25,13 @@ from hftkit.models import (
     six_site_model,
     six_site_rep,
 )
-from hftkit.spectral import eigh
+from hftkit.spectral import (
+    ParametricModel,
+    SymmetricMatrix,
+    eigh,
+    fd_derivative,
+    fd_derivative_onesided,
+)
 from hftkit.symmetry import commutant_residual
 
 
@@ -293,3 +301,147 @@ def test_oscillator_coupling_is_built_once_per_model(monkeypatch):
         model.spectrum(float(lam))
         model.derivative(float(lam))
     assert calls == [(1.0, 5)]
+
+
+# --- array-built oscillator against the per-state loop builders ---
+
+
+def _loop_position_element(omega, a, b):
+    if abs(a - b) != 1:
+        return 0.0
+    return math.sqrt(max(a, b) / (2.0 * omega))
+
+
+def _loop_xy(omega, n_max):
+    basis = oscillator_basis(n_max)
+    index = {state: i for i, state in enumerate(basis)}
+    xy = np.zeros((len(basis), len(basis)))
+    for i, (m, n) in enumerate(basis):
+        for dm in (-1, 1):
+            for dn in (-1, 1):
+                j = index.get((m + dm, n + dn))
+                if j is not None:
+                    xy[i, j] = _loop_position_element(omega, m, m + dm) * _loop_position_element(
+                        omega, n, n + dn
+                    )
+    return xy
+
+
+def _loop_diagonal(omega, n_max):
+    return np.diag([(m + n + 1) * omega for m, n in oscillator_basis(n_max)])
+
+
+def _loop_rep_matrices(n_max):
+    basis = oscillator_basis(n_max)
+    index = {state: i for i, state in enumerate(basis)}
+    d = len(basis)
+    parity = np.array([(-1.0) ** (m + n) for m, n in basis])
+    u2 = np.zeros((d, d))
+    for i, (m, n) in enumerate(basis):
+        u2[index[(n, m)], i] = 1.0
+    return np.stack([np.eye(d), np.diag(parity), u2, parity[:, None] * u2])
+
+
+def _loop_sorted_eigenvalues(omega, lam, n_max):
+    exact = OscillatorAnalytic(omega=omega)
+    return np.sort([exact.energy(lam, m, n) for m, n in oscillator_basis(n_max)])
+
+
+@pytest.mark.parametrize("n_max", range(13))
+def test_array_built_oscillator_is_bitwise_the_loop_build(n_max):
+    rep = oscillator_rep(n_max).matrices
+    assert rep.shape == (4, oscillator_dim(n_max), oscillator_dim(n_max))
+    assert rep.tobytes() == _loop_rep_matrices(n_max).tobytes()
+    for omega in (0.7, 1.0, 1.3):
+        model = oscillator_model(omega=omega, n_max=n_max)
+        assert model.a.entries.tobytes() == _loop_diagonal(omega, n_max).tobytes()
+        assert model.b.entries.tobytes() == _loop_xy(omega, n_max).tobytes()
+        exact = OscillatorAnalytic(omega=omega)
+        for lam in (0.0, 0.37, -0.81):
+            if abs(lam) >= omega**2:
+                with pytest.raises(ValueError, match="outside"):
+                    exact.sorted_eigenvalues(lam, n_max)
+                continue
+            got = exact.sorted_eigenvalues(lam, n_max)
+            assert got.tobytes() == _loop_sorted_eigenvalues(omega, lam, n_max).tobytes()
+
+
+def test_array_builders_reject_a_negative_cutoff():
+    for build in (lambda: oscillator_rep(-1), lambda: oscillator_xy_matrix(1.0, -1),
+                  lambda: OscillatorAnalytic(1.0).sorted_eigenvalues(0.1, -1)):
+        with pytest.raises(ValueError, match="n_max must be non-negative"):
+            build()
+
+
+# --- oracle stencils: one array per shared step against a per-state loop ---
+
+
+def _scalar_oracle_references(model, rot, lam, h):
+    """The per-state form of hft._oracle_references: one scalar Richardson
+    stencil per singleton state."""
+    oracle = model.analytic_eigenvalues_at
+    w = rot.eigenvalues
+    d = rot.dim
+    refs = np.empty(d)
+    for c in rot.clusters:
+        if len(c) == 1:
+            i = c.start
+            gap = math.inf
+            if i > 0:
+                gap = min(gap, w[i] - w[i - 1])
+            if i + 1 < d:
+                gap = min(gap, w[i + 1] - w[i])
+            step = _fit_step(model, lam, max(min(h, gap / 4.0), 1e-8), 1.0, (+1, -1))
+            refs[i] = fd_derivative(lambda x, i=i: float(oracle(x)[i]), lam, step)
+        else:
+            side = +1 if model.contains(lam + 2.0 * h) else -1
+            step = _fit_step(model, lam, h, 2.0, (side,))
+            refs[c.start : c.stop] = sorted(
+                fd_derivative_onesided(lambda x, j=j: float(oracle(x)[j]), lam, step, side)
+                for j in c
+            )
+    return refs
+
+
+def _assert_oracle_references_match(model, lam, h=1e-4):
+    rot = rotated_spectrum(model, lam)
+    got = _oracle_references(model, rot, lam, h)
+    assert got.tobytes() == _scalar_oracle_references(model, rot, lam, h).tobytes()
+    return rot
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.37, 1.0 - 0.5e-4, -1.0 + 3e-4])
+def test_oracle_references_equal_the_per_state_stencils(lam):
+    # lambda = 0: every shell is a cluster; 0.37: generic; the last two sit
+    # within 4h of the domain edge, where _fit_step shrinks the steps.
+    rot = _assert_oracle_references_match(oscillator_model(n_max=8), lam)
+    if lam == 0.0:
+        assert max(len(c) for c in rot.clusters) > 1
+
+
+def _diagonal_family(levels, slopes):
+    levels, slopes = np.asarray(levels, dtype=float), np.asarray(slopes, dtype=float)
+    return ParametricModel(
+        a=SymmetricMatrix(np.diag(levels)),
+        b=SymmetricMatrix(np.diag(slopes)),
+        analytic_eigenvalues_at=lambda x: np.sort(levels + x * slopes),
+        lambda_domain=(-1.0, 1.0),
+    )
+
+
+def test_oracle_references_with_close_singletons_use_per_state_steps():
+    # Neighbours 5e-5 to 3.5e-8 apart, all beyond the degeneracy tolerance:
+    # the singleton steps differ, and the closest pair hits the 1e-8 floor.
+    levels = [0.0, 5e-5, 2e-4, 1.0, 1.0 + 3.5e-8, 2.0]
+    model = _diagonal_family(levels, [0.3, -0.2, 0.1, 0.4, -0.4, 0.0])
+    rot = _assert_oracle_references_match(model, 0.0)
+    assert all(len(c) == 1 for c in rot.clusters)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 9),
+       lam=st.floats(-0.99, 0.99))
+def test_oracle_references_equal_the_per_state_stencils_on_random_families(seed, dim, lam):
+    rng = np.random.default_rng(seed)
+    # Levels on a coarse lattice make exact degeneracies and near neighbours.
+    levels = rng.integers(0, 4, dim) * 1e-4 + rng.integers(0, 2, dim) * 1e-7
+    _assert_oracle_references_match(_diagonal_family(levels, rng.normal(size=dim)), lam)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from hftkit.models import (
     oscillator_matrix,
@@ -236,7 +236,6 @@ def test_model_derivative_is_b_inside_the_domain():
             model.derivative(lam)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8),
        lam=st.floats(-1e3, 1e3, allow_nan=False))
 def test_model_hamiltonian_is_bitwise_a_plus_lambda_b(seed, dim, lam):

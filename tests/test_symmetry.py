@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from hftkit.hft import rotated_spectrum
+from hftkit.hft import hft_basis, rotated_spectrum
 from hftkit.models import oscillator_model, oscillator_rep, six_site_model, six_site_rep
-from hftkit.spectral import SymmetricMatrix
+from hftkit.spectral import ParametricModel, SymmetricMatrix
 from hftkit.symmetry import (
+    _measured_characters,
     CharacterTable,
     ClassificationError,
     GroupRep,
@@ -249,6 +251,79 @@ def test_cross_irrep_derivative_elements_vanish():
         for b in range(a + 1, 6):
             if labels[a] != labels[b]:
                 assert abs(v[:, a] @ hp @ v[:, b]) <= 1e-10
+
+
+# --- group action: index path against the matrix product ---
+
+
+def _product_characters(columns, rep):
+    """<v|U(g)|v> by one dense matrix product per element."""
+    return np.array([np.sum(columns * (u @ columns), axis=0) for u in rep.matrices])
+
+
+def _assert_same_bits(got, want):
+    # Bit for bit, except that a zero may carry either sign.
+    assert got.shape == want.shape
+    assert ((got.view(np.int64) == want.view(np.int64)) | ((got == 0.0) & (want == 0.0))).all()
+
+
+def _assert_characters_match(columns, rep):
+    _assert_same_bits(_measured_characters(columns, rep), _product_characters(columns, rep))
+
+
+def _unit_columns(rng, d, k):
+    cols = rng.normal(size=(d, k))
+    return cols / np.linalg.norm(cols, axis=0)
+
+
+@pytest.mark.parametrize("rep, model", [(six_site_rep(), six_site_model()),
+                                        (oscillator_rep(8), oscillator_model(n_max=8))])
+def test_built_in_elements_act_by_index_with_the_product_bits(rep, model):
+    assert all(action is not None for action in rep._actions)
+    rng = np.random.default_rng(5)
+    lam = 0.5 if model.name == "six-site" else 0.0
+    columns = np.hstack([rotated_spectrum(model, lam).eigenvectors,
+                         _unit_columns(rng, rep.dim, 7)])
+    _assert_characters_match(columns, rep)
+    for k in range(rep.order):
+        for v in (columns, columns[:, 3]):
+            _assert_same_bits(rep.act(k, v), rep.matrices[k] @ v)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 9), zero_rows=st.integers(0, 3))
+def test_sparse_row_elements_act_by_index_with_the_product_bits(seed, dim, zero_rows):
+    rng = np.random.default_rng(seed)
+    u = np.zeros((dim, dim))
+    u[np.arange(dim), rng.integers(0, dim, dim)] = rng.normal(size=dim)
+    u[rng.integers(0, dim, zero_rows)] = 0.0
+    rep = GroupRep(name="G", labels=("E", "U"), matrices=np.stack([np.eye(dim), u]))
+    assert rep._actions[1] is not None
+    _assert_characters_match(_unit_columns(rng, dim, 4), rep)
+
+
+def _random_orthogonal(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)))
+    return q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
+def test_conjugated_rep_takes_the_product_and_keeps_the_six_site_labels(lam):
+    q = _random_orthogonal(np.random.default_rng(11), 6)
+    base = six_site_rep()
+    rep = GroupRep(name="C2v", labels=base.labels, matrices=q @ base.matrices @ q.T)
+    assert verify_group(rep).passed
+    assert all(action is None for action in rep._actions[1:])
+    six = six_site_model()
+    model = ParametricModel(
+        a=SymmetricMatrix(q @ six.a.entries @ q.T), b=SymmetricMatrix(q @ six.b.entries @ q.T)
+    )
+    table = c2v_character_table()
+    conjugated = [lab.label for lab in classify(
+        hft_basis(model.spectrum(lam), model.b), rep, table)]
+    plain = [lab.label for lab in classify(
+        hft_basis(six.spectrum(lam), six.b), base, table)]
+    assert conjugated == plain
+    assert project(q @ V3, "A2", rep, table) == pytest.approx(q @ V3, abs=1e-12)
 
 
 # --- file loaders ---
