@@ -23,7 +23,6 @@ from .hft import (
     HftReport,
     RotatedSpectrum,
     StateSlopeRecord,
-    Sweep,
     cluster_degeneracies,
     continuity_overlap,
     default_degeneracy_tol,
@@ -34,6 +33,7 @@ from .hft import (
     mixed_slope,
     offdiag_identity_residual,
     rotated_spectrum,
+    sweep,
 )
 from .symmetry import (
     CharacterTable,

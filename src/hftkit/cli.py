@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .fermi import FillingSpec, cusp_report, find_crossings, ground_state_curve
-from .hft import Sweep, hft_basis, hft_report, rotated_spectrum
+from .hft import hft_basis, hft_report, sweep
 from .models import (
     DEFAULT_OSC_NMAX,
     DEFAULT_OSC_OMEGA,
@@ -140,8 +140,8 @@ def run_scan(config: ScanConfig) -> CsvTable:
     # Identity order for --sorted and for the first tracked point.
     perm = np.arange(model.dim)
     signs = np.ones(model.dim)
-    for lam in grid.tolist():
-        rot = rotated_spectrum(model, lam, config.tol_deg)
+    for rot in sweep(model, grid, config.tol_deg):
+        lam = rot.lam
         if not config.sorted_output:
             vectors = rot.eigenvectors
             if branch_vectors is not None:
@@ -167,18 +167,18 @@ def run_fermi(config: ScanConfig) -> tuple[CsvTable, dict[str, str]]:
         raise ValueError("fermi requires --np")
     model = config.build()
     fill = FillingSpec(config.n_particles)
-    sweep = Sweep(model, config.grid(), config.tol_deg)
-    curve = ground_state_curve(sweep, fill)
+    # Kept whole: a cusp on a grid point is read from that point, not rotated again.
+    points = list(sweep(model, config.grid(), config.tol_deg))
+    curve = ground_state_curve(model, points, fill)
 
     table = CsvTable(header=("lambda", "E0", "dE0"))
     for lam, e0, de0 in zip(curve.lambdas, curve.energies, curve.slopes):
         table.append((lam, e0, de0))
 
-    # A crossing on a grid point is read from the sweep, not rotated again.
-    on_grid = {float(lam): k for k, lam in enumerate(sweep.lambdas)}
+    on_grid = {rot.lam: rot for rot in points}
     cusps = [
-        cusp_report(model, sweep[on_grid[lam0]] if lam0 in on_grid else lam0, fill, sweep.tol)
-        for lam0 in find_crossings(sweep, fill)
+        cusp_report(model, on_grid.get(lam0, lam0), fill, config.tol_deg)
+        for lam0 in find_crossings(model, points, fill)
     ]
     for c in cusps:
         table.comments.append(
@@ -242,7 +242,7 @@ def run_crossings(config: ScanConfig) -> str:
         raise ValueError("crossings requires --np")
     model = config.build()
     fill = FillingSpec(config.n_particles)
-    found = find_crossings(Sweep(model, config.grid(), config.tol_deg), fill)
+    found = find_crossings(model, sweep(model, config.grid(), config.tol_deg), fill)
     return "".join(f"{_fmt(lam0)}\n" for lam0 in found)
 
 

@@ -14,17 +14,19 @@ slopes, so each sign change is refined by Newton steps on the gap inside the
 bracket.  Where a tracked state is degenerate, its branch is followed in the
 basis that diagonalizes dH/dlambda in the degenerate subspace, the basis that
 continues the branches.
+
+:func:`ground_state_curve` and :func:`find_crossings` read a sweep once, in order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .hft import RotatedSpectrum, Sweep, hft_basis, rotated_spectrum
+from .hft import RotatedSpectrum, hft_basis, rotated_spectrum
 from .spectral import ParametricModel, TrackingError, track
 from .symmetry import _labels
 
@@ -134,7 +136,7 @@ def cusp_report(
     """Resolve the two one-sided ground-energy slopes at a frontier crossing.
 
     ``point`` is the crossing's lambda, or the model's rotated spectrum
-    there (a :class:`Sweep` point, say), which is read as it is instead of
+    there (a :func:`sweep` point, say), which is read as it is instead of
     being diagonalized again; ``tol`` applies to a lambda only.
     """
     fill.check(model.dim)
@@ -190,21 +192,26 @@ def _branch(
     return energy, tracked.eigenvectors[:, 0], w
 
 
-def find_crossings(sweep: Sweep, fill: FillingSpec) -> list[float]:
-    """Locate frontier level crossings in the span of the sweep's grid.
+def find_crossings(
+    model: ParametricModel, points: Iterable[RotatedSpectrum], fill: FillingSpec
+) -> list[float]:
+    """Locate frontier level crossings in the span of a grid of rotated
+    points (a :func:`sweep`, say), read once in order.
 
     The frontier gap is followed along tracked branches (sorted order would
     smooth symmetry-allowed crossings over instead of detecting them): the
     states occupied and empty at an interval's left grid point are tracked
     to its right end, and a negative gap there brackets a crossing.  The
     gap's derivative is the difference of the two states' Hellmann-Feynman
-    slopes v.Bv, read from the sweep at the left end and from the tracked
+    slopes v.Bv, read from the left grid point and from the tracked
     columns elsewhere, so the crossing is refined by Newton steps on the
     gap.  A step that would leave the bracket, or that is not below half
     the step before last, is replaced by bisection.  Refinement stops when
     the Newton correction is at most ``BISECTION_WIDTH / 2`` or the bracket
     is at most ``BISECTION_WIDTH`` wide.  Grid points already sitting on a
-    frontier degeneracy are reported directly.
+    frontier degeneracy are reported directly.  Only the point in hand and
+    the one before it are held: an interval is searched once its right end
+    has been read, unless either end is such a point.
 
     Where a probe point is degenerate, its eigenvectors are an arbitrary
     basis of the degenerate subspace, and the branches are followed in the
@@ -222,67 +229,74 @@ def find_crossings(sweep: Sweep, fill: FillingSpec) -> list[float]:
     A grid interval that holds two frontier crossings can hide one or both
     of them from the sign test; a finer grid finds them.
     """
-    model = sweep.model
     fill.check(model.dim)
-    grid = sweep.lambdas
-    if len(grid) < 2:
-        raise ValueError("need at least 2 grid points")
-    if not (grid[0] < grid[-1] and np.all(np.diff(grid) >= 0.0)):
-        raise ValueError("need an ascending grid")
     n_p = fill.n_particles
     if n_p >= model.dim:
         return []  # full filling has no frontier
 
-    rots = list(sweep)
-    b = model.b.entries
-
     crossings: list[float] = []
-    exact_hits = set()
-    for i, rot in enumerate(rots):
-        if _frontier_cluster(rot, n_p) is not None:
-            crossings.append(float(grid[i]))
-            exact_hits.add(i)
-
-    for i in range(len(grid) - 1):
-        if i in exact_hits or (i + 1) in exact_hits:
-            continue
-        rot = rots[i]
-        vectors = rot.eigenvectors
-        vec_occ = vectors[:, n_p - 1 : n_p]
-        vec_emp = vectors[:, n_p : n_p + 1]
-        tol = rot.tol
-        last = []  # the latest probe's lambda, tracked levels (ascending), eigenvalues
-
-        def probe(lam: float) -> tuple[float, float]:
-            """Tracked frontier gap at lam and its derivative."""
-            e_occ, v_occ, w = _branch(model, lam, vec_occ, tol)
-            e_emp, v_emp, _ = _branch(model, lam, vec_emp, tol)
-            if abs(v_occ @ v_emp) > 0.5:
-                raise TrackingError(
-                    f"both tracked frontier states continue into one state at "
-                    f"lambda={lam!r}; a finer grid may tell them apart"
-                )
-            last[:] = lam, *sorted((e_occ, e_emp)), w
-            return e_emp - e_occ, float(v_emp @ b @ v_emp - v_occ @ b @ v_occ)
-
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        g_hi, dg_hi = probe(hi)
-        if g_hi >= 0.0:
-            continue  # no order swap in this interval
-        g_lo = float(rot.eigenvalues[n_p] - rot.eigenvalues[n_p - 1])
-        dg_lo = float(rot.cluster_slopes[n_p] - rot.cluster_slopes[n_p - 1])
-        crossing = _refine(probe, lo, hi, (g_lo, dg_lo), (g_hi, dg_hi))
-        at, e_low, e_high, w = last
-        below, above = np.count_nonzero(w < e_low - tol), np.count_nonzero(w > e_high + tol)
-        if below >= n_p or above >= len(w) - n_p:
-            raise TrackingError(
-                f"the frontier states tracked across [{lo!r}, {hi!r}] reach levels "
-                f"{e_low!r} and {e_high!r} at lambda={at!r}, which are not the "
-                f"occupation frontier there: a tracked state crossed a third level"
-            )
-        crossings.append(crossing)
-
+    prev, prev_hit, count = None, False, 0
+    for count, rot in enumerate(points, 1):
+        lam = float(rot.lam)
+        hit = _frontier_cluster(rot, n_p) is not None
+        if count == 1:
+            first = lam
+        elif lam < prev.lam:
+            raise ValueError("need an ascending grid")
+        elif not (hit or prev_hit):
+            crossing = _interval_crossing(model, prev, lam, n_p)
+            if crossing is not None:
+                crossings.append(crossing)
+        if hit:
+            crossings.append(lam)
+        prev, prev_hit = rot, hit
+    if count < 2:
+        raise ValueError("need at least 2 grid points")
+    if not first < prev.lam:
+        raise ValueError("need an ascending grid")
     return sorted(crossings)
+
+
+def _interval_crossing(
+    model: ParametricModel, rot: RotatedSpectrum, hi: float, n_p: int
+) -> Optional[float]:
+    """The frontier crossing between the grid point ``rot`` and the next
+    grid point ``hi``, or None when the tracked gap keeps its sign there."""
+    b = model.b.entries
+    vectors = rot.eigenvectors
+    vec_occ = vectors[:, n_p - 1 : n_p]
+    vec_emp = vectors[:, n_p : n_p + 1]
+    tol = rot.tol
+    last = []  # the latest probe's lambda, tracked levels (ascending), eigenvalues
+
+    def probe(lam: float) -> tuple[float, float]:
+        """Tracked frontier gap at lam and its derivative."""
+        e_occ, v_occ, w = _branch(model, lam, vec_occ, tol)
+        e_emp, v_emp, _ = _branch(model, lam, vec_emp, tol)
+        if abs(v_occ @ v_emp) > 0.5:
+            raise TrackingError(
+                f"both tracked frontier states continue into one state at "
+                f"lambda={lam!r}; a finer grid may tell them apart"
+            )
+        last[:] = lam, *sorted((e_occ, e_emp)), w
+        return e_emp - e_occ, float(v_emp @ b @ v_emp - v_occ @ b @ v_occ)
+
+    lo = float(rot.lam)
+    g_hi, dg_hi = probe(hi)
+    if g_hi >= 0.0:
+        return None  # no order swap in this interval
+    g_lo = float(rot.eigenvalues[n_p] - rot.eigenvalues[n_p - 1])
+    dg_lo = float(rot.cluster_slopes[n_p] - rot.cluster_slopes[n_p - 1])
+    crossing = _refine(probe, lo, hi, (g_lo, dg_lo), (g_hi, dg_hi))
+    at, e_low, e_high, w = last
+    below, above = np.count_nonzero(w < e_low - tol), np.count_nonzero(w > e_high + tol)
+    if below >= n_p or above >= len(w) - n_p:
+        raise TrackingError(
+            f"the frontier states tracked across [{lo!r}, {hi!r}] reach levels "
+            f"{e_low!r} and {e_high!r} at lambda={at!r}, which are not the "
+            f"occupation frontier there: a tracked state crossed a third level"
+        )
+    return crossing
 
 
 def _refine(probe, lo: float, hi: float, at_lo, at_hi) -> float:
@@ -319,22 +333,25 @@ def _refine(probe, lo: float, hi: float, at_lo, at_hi) -> float:
             hi = x
 
 
-def ground_state_curve(sweep: Sweep, fill: FillingSpec) -> GroundStateCurve:
-    """Sample E0 and its slope on the sweep's grid.  At a grid point that
-    lands exactly on a cusp the left slope is recorded."""
-    model = sweep.model
+def ground_state_curve(
+    model: ParametricModel, points: Iterable[RotatedSpectrum], fill: FillingSpec
+) -> GroundStateCurve:
+    """Sample E0 and its slope at each rotated grid point (a :func:`sweep`,
+    say), read once in order.  At a grid point that lands exactly on a cusp
+    the left slope is recorded.  Only per-point numbers and a copy of the
+    highest occupied state are kept, not the points."""
     fill.check(model.dim)
     n_p = fill.n_particles
-    lams = sweep.lambdas
-    energies = np.empty_like(lams)
-    slopes = np.empty_like(lams)
-    highest_occupied = np.empty((model.dim, len(lams)))
-    for k, rot in enumerate(sweep):
-        energies[k] = float(np.sum(rot.eigenvalues[:n_p]))
-        slopes[k] = _ground_slopes(rot, fill)[0]
-        highest_occupied[:, k] = rot.eigenvectors[:, n_p - 1]
+    lams, energies, slopes, highest_occupied = [], [], [], []
+    for rot in points:
+        lams.append(rot.lam)
+        energies.append(float(np.sum(rot.eigenvalues[:n_p])))
+        slopes.append(_ground_slopes(rot, fill)[0])
+        highest_occupied.append(rot.eigenvectors[:, n_p - 1].copy())
     tags = ("",) * len(lams)
-    if model.symmetry is not None and model.character_table is not None:
-        _, labels = _labels(highest_occupied, model.symmetry, model.character_table)
+    if lams and model.symmetry is not None and model.character_table is not None:
+        _, labels = _labels(np.stack(highest_occupied, axis=1), model.symmetry,
+                            model.character_table)
         tags = tuple(label or "" for label in labels)
-    return GroundStateCurve(lambdas=lams, energies=energies, slopes=slopes, branch_tags=tags)
+    return GroundStateCurve(lambdas=np.array(lams, dtype=float), energies=np.array(energies),
+                            slopes=np.array(slopes), branch_tags=tags)

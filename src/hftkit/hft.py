@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -215,37 +215,18 @@ def rotated_spectrum(
     return hft_consistent_basis(model.spectrum(lam), model.derivative(lam), tol)
 
 
-class Sweep:
-    """Rotated spectra of one model on a fixed lambda grid.
+def sweep(
+    model: ParametricModel, lambdas: np.ndarray, tol: Optional[float] = None
+) -> Iterator[RotatedSpectrum]:
+    """The rotated spectrum of every point of a lambda grid, in grid order.
 
-    Point k is computed by :func:`rotated_spectrum` the first time it is
-    read and kept, so every consumer of the grid shares one
-    diagonalization per lambda.
+    Each point is computed by :func:`rotated_spectrum` when it is read, and
+    none is kept here: a reader that needs a point twice keeps it itself.
     """
-
-    def __init__(
-        self, model: ParametricModel, lambdas: np.ndarray, tol: Optional[float] = None
-    ) -> None:
-        lams = np.array(lambdas, dtype=float)
-        if lams.ndim != 1:
-            raise ValueError("the lambda grid must be one-dimensional")
-        lams.flags.writeable = False  # the kept spectra belong to these values
-        self.model = model
-        self.lambdas = lams
-        self.tol = tol
-        self._points: list[Optional[RotatedSpectrum]] = [None] * len(lams)
-
-    def __len__(self) -> int:
-        return len(self.lambdas)
-
-    def __getitem__(self, k: int) -> RotatedSpectrum:
-        rot = self._points[k]
-        if rot is None:
-            rot = self._points[k] = rotated_spectrum(self.model, float(self.lambdas[k]), self.tol)
-        return rot
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
+    lams = np.asarray(lambdas, dtype=float)
+    if lams.ndim != 1:
+        raise ValueError("the lambda grid must be one-dimensional")
+    return (rotated_spectrum(model, lam, tol) for lam in lams.tolist())
 
 
 @dataclass(frozen=True)
@@ -317,15 +298,17 @@ def _oracle_references(
     for step in np.unique(steps):
         idx = singles[steps == step]
         refs[idx] = fd_derivative(lambda x: level(x)[idx], lam, float(step))
-    for c in rot.clusters:
-        if len(c) > 1:
-            side = +1 if model.contains(lam + 2.0 * h) else -1
-            step = _fit_step(model, lam, h, 2.0, (side,))
-            one_sided = sorted(
-                fd_derivative_onesided(lambda x, j=j: float(level(x)[j]), lam, step, side)
-                for j in c
-            )
-            refs[c.start : c.stop] = one_sided
+    # Every cluster state shares one side and one step, so all of them are
+    # differenced as one array and then sorted within each cluster.
+    in_cluster = np.ones(d, dtype=bool)
+    in_cluster[singles] = False
+    if in_cluster.any():
+        side = +1 if model.contains(lam + 2.0 * h) else -1
+        step = _fit_step(model, lam, h, 2.0, (side,))
+        idx = in_cluster.nonzero()[0]
+        refs[idx] = fd_derivative_onesided(lambda x: level(x)[idx], lam, step, side)
+        for c in rot.clusters:
+            refs[c.start : c.stop].sort()
     return refs
 
 

@@ -157,27 +157,26 @@ def fd_derivative(f: Callable[[float], Any], x0: float, h: float = DEFAULT_FD_ST
 
 
 def fd_derivative_onesided(
-    f: Callable[[float], float], x0: float, h: float = DEFAULT_FD_STEP, side: int = +1
-) -> float:
+    f: Callable[[float], Any], x0: float, h: float = DEFAULT_FD_STEP, side: int = +1
+) -> Any:
     """One-sided derivative at x0 using points on a single side only.
 
     Three-point formula with one Richardson level, error O(h^3).  ``side``
-    is +1 (use x0..x0+2h) or -1 (use x0-2h..x0).
+    is +1 (use x0..x0+2h) or -1 (use x0-2h..x0).  Evaluates f at x0 and at
+    x0 + side*h/2, side*h, 2*side*h, in that order; f may return a float or
+    an array, and non-finite values are rejected, as in :func:`fd_derivative`.
     """
     _check_step(h)
     if side not in (+1, -1):
         raise ValueError("side must be +1 or -1")
     s = float(side)
-    f0 = f(x0)
-
-    def three_point(step: float) -> float:
-        f1 = f(x0 + s * step)
-        f2 = f(x0 + 2.0 * s * step)
-        if not all(math.isfinite(v) for v in (f0, f1, f2)):
-            raise ValueError(f"non-finite function value near x0={x0!r}")
-        return s * (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * step)
-
-    return (4.0 * three_point(h / 2.0) - three_point(h)) / 3.0
+    vals = [f(x0), f(x0 + s * (h / 2.0)), f(x0 + s * h), f(x0 + 2.0 * s * h)]
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"non-finite function value near x0={x0!r}")
+    # The three-point formula at steps h/2 (its 2 * step is h) and h.
+    d_h2 = s * (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / h
+    d_h = s * (-3.0 * vals[0] + 4.0 * vals[2] - vals[3]) / (2.0 * h)
+    return (4.0 * d_h2 - d_h) / 3.0
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ import numpy as np
 from hftkit.cli import ScanConfig, run_fermi
 from hftkit.fermi import FillingSpec, cusp_report, find_crossings, ground_energy, ground_slope_hft
 from hftkit.hft import (
-    Sweep,
     continuity_overlap,
     mixed_slope,
     offdiag_identity_residual,
     rotated_spectrum,
+    sweep,
 )
 from hftkit.models import (
     OscillatorAnalytic,
@@ -180,7 +180,7 @@ def test_criterion_9_fermi_cusp_and_figures(tmp_path):
     fill = FillingSpec(2)
     # 36 steps put no grid point on the crossing, so this exercises the
     # tracked-branch refinement rather than the exact-grid shortcut
-    found = find_crossings(Sweep(model, np.linspace(0.2, 2.0, 36)), fill)
+    found = find_crossings(model, sweep(model, np.linspace(0.2, 2.0, 36)), fill)
     assert len(found) == 1 and abs(found[0] - 1.0) <= 1e-8
     report = cusp_report(model, found[0], fill)
     assert abs(report.slope_left - (-1.0 / 3.0)) <= 1e-8

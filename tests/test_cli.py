@@ -1,5 +1,6 @@
 """CSV/SVG emission, subcommand behavior, exit codes."""
 
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -336,6 +337,180 @@ GOLDEN_FERMIS = {
 def test_fermi_stdout_is_byte_identical_to_the_golden_output(argv, capsys):
     assert main(argv.split()) == 0
     assert capsys.readouterr() == (GOLDEN_FERMIS[argv], "")
+
+
+# --- the scan and fermi goldens against independent references ---
+
+# The goldens pin bytes, which cannot tell a rounding change from a wrong
+# answer.  These tests read the same bytes and check them against numbers
+# computed here without hftkit: the six-site closed forms, and numpy's eigh
+# of the oscillator matrix built from its matrix elements.
+#   GOLDEN_TOL: eigenvalues, E0 and Hellmann-Feynman slopes, relative to
+#     1 + |reference|; LAPACK rounding is about 1e-15.
+#   CUSP_TOL: cusp slopes against one-sided differences of E0 with step
+#     1e-3, whose truncation error is O(1e-9) and whose error from a cusp
+#     placed 1e-10 off is O(1e-7).
+#   GAP_TOL: the frontier gap at a reported cusp, which is placed within
+#     1e-10 of the crossing of two levels whose slopes differ by about 2.
+GOLDEN_TOL = 1e-12
+CUSP_TOL = 1e-6
+GAP_TOL = 1e-9
+
+
+def _golden_options(argv):
+    """The options of a golden command line: value options as strings,
+    flags as True."""
+    words = argv.split()
+    options = {}
+    for k, word in enumerate(words):
+        if word.startswith("--"):
+            value = words[k + 1] if k + 1 < len(words) else "--"
+            options[word[2:]] = True if value.startswith("--") else value
+    return options
+
+
+def _golden_grid(options):
+    return np.linspace(float(options["lmin"]), float(options["lmax"]), int(options["steps"]))
+
+
+def _parse_golden(text):
+    """The header, the numeric rows and the comment lines of a golden CSV."""
+    lines = text.splitlines()
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:] if line[0] != "#"]
+    return lines[0].split(","), np.array(rows), [line for line in lines if line[0] == "#"]
+
+
+def _six_site_branches(lam):
+    """The six closed-form levels of the six-site model and their slopes,
+    in branch order; with s = sqrt(lam^2 + 8) they are -(lam+s)/2,
+    (lam-s)/2, -lam, lam, (s-lam)/2 and (lam+s)/2."""
+    s = math.sqrt(lam * lam + 8.0)
+    r = lam / s
+    values = [-(lam + s) / 2.0, (lam - s) / 2.0, -lam, lam, (s - lam) / 2.0, (lam + s) / 2.0]
+    slopes = [-(1.0 + r) / 2.0, (1.0 - r) / 2.0, -1.0, 1.0, (r - 1.0) / 2.0, (1.0 + r) / 2.0]
+    return np.array(values), np.array(slopes)
+
+
+def _oscillator_matrices(nmax, omega=1.0):
+    """H0 and the x*y coupling in the product basis |m, n>, m + n <= nmax,
+    ordered by shell m + n and by m inside a shell: H0 = omega (m + n + 1),
+    and <m, n|xy|m', n'> = <m|x|m'> <n|y|n'> with
+    <a|x|a +- 1> = sqrt(max(a, a +- 1) / (2 omega))."""
+    basis = [(m, nu - m) for nu in range(nmax + 1) for m in range(nu + 1)]
+    index = {state: i for i, state in enumerate(basis)}
+    h0 = np.diag([omega * (m + n + 1.0) for m, n in basis])
+    xy = np.zeros_like(h0)
+    for i, (m, n) in enumerate(basis):
+        for dm in (-1, 1):
+            for dn in (-1, 1):
+                j = index.get((m + dm, n + dn))
+                if j is not None:
+                    xy[i, j] = (math.sqrt(max(m, m + dm) / (2.0 * omega))
+                                * math.sqrt(max(n, n + dn) / (2.0 * omega)))
+    return h0, xy
+
+
+def _oscillator_levels(matrices, lam):
+    """Ascending eigenvalues of H0 + lam * xy and their Hellmann-Feynman
+    slopes: <v|xy|v>, with the xy block of every cluster of levels closer
+    than 1e-8 (1 + max |E|) diagonalized, block eigenvalues ascending."""
+    h0, xy = matrices
+    w, v = np.linalg.eigh(h0 + lam * xy)
+    block = v.T @ xy @ v
+    slopes = np.diag(block).copy()
+    tol = 1e-8 * (1.0 + np.abs(w).max())
+    cuts = [0, *(k for k in range(1, len(w)) if w[k] - w[k - 1] > tol), len(w)]
+    for a, z in zip(cuts[:-1], cuts[1:]):
+        slopes[a:z] = np.linalg.eigvalsh(block[a:z, a:z])
+    return w, slopes
+
+
+def _reference_levels(options):
+    """lambda -> (levels, slopes) of the golden's model."""
+    if options["model"] == "six-site":
+        return _six_site_branches
+    matrices = _oscillator_matrices(int(options["nmax"]))
+    return lambda lam: _oscillator_levels(matrices, lam)
+
+
+def _assert_close(got, want, tol, what):
+    assert abs(got - want) <= tol * (1.0 + abs(want)), f"{what}: {got!r} against {want!r}"
+
+
+def _match_levels(values, slopes, ref_values, ref_slopes, what):
+    """The reference level of each output column: the nearest (value, slope)
+    pair not yet taken.  Every column must agree with its pair."""
+    free = list(range(len(ref_values)))
+    picks = []
+    for k, (e, s) in enumerate(zip(values, slopes)):
+        j = min(free, key=lambda j: abs(ref_values[j] - e) + abs(ref_slopes[j] - s))
+        free.remove(j)
+        _assert_close(e, ref_values[j], GOLDEN_TOL, f"{what} e{k}")
+        _assert_close(s, ref_slopes[j], GOLDEN_TOL, f"{what} slope{k}")
+        picks.append(j)
+    return picks
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SCANS))
+def test_scan_golden_agrees_with_an_independent_reference(argv):
+    options = _golden_options(argv)
+    header, data, _ = _parse_golden(GOLDEN_SCANS[argv])
+    d = (len(header) - 1) // 2
+    assert data[:, 0].tobytes() == _golden_grid(options).tobytes()
+    levels = _reference_levels(options)
+    picks = []
+    for lam, *row in data:
+        values, slopes = row[:d], row[d:]
+        picks.append(_match_levels(values, slopes, *levels(lam), f"lambda={lam!r}"))
+        if options.get("sorted"):
+            assert values == sorted(values)
+    if options["model"] == "six-site" and not options.get("sorted"):
+        # the tracked columns follow the closed-form branches throughout
+        assert all(p == picks[0] for p in picks)
+
+
+def _one_sided(f, x, side, h=1e-3):
+    """One-sided derivative of f at x from f(x), f(x + side h/2),
+    f(x + side h) and f(x + 2 side h): the three-point formula at steps
+    h/2 and h, combined by one Richardson step."""
+    def three_point(step):
+        return side * (-3.0 * f(x) + 4.0 * f(x + side * step) - f(x + 2.0 * side * step)) / (
+            2.0 * step)
+
+    return (4.0 * three_point(h / 2.0) - three_point(h)) / 3.0
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_FERMIS))
+def test_fermi_golden_agrees_with_an_independent_reference(argv):
+    options = _golden_options(argv)
+    p = int(options["np"])
+    _, data, comments = _parse_golden(GOLDEN_FERMIS[argv])
+    assert data[:, 0].tobytes() == _golden_grid(options).tobytes()
+    levels = _reference_levels(options)
+
+    def e0(lam):
+        return float(np.sum(np.sort(levels(lam)[0])[:p]))
+
+    for lam, energy, slope in data:
+        _assert_close(energy, e0(lam), GOLDEN_TOL, f"E0 at lambda={lam!r}")
+        if options["model"] == "six-site":
+            # two fermions: E0 = -s up to the crossing at 1, -(3 lam + s)/2
+            # after it, so the left slope is -lam/s, or -(3 + lam/s)/2
+            s = math.sqrt(lam * lam + 8.0)
+            want = -lam / s if lam <= 1.0 else -(3.0 + lam / s) / 2.0
+        else:
+            w, slopes = levels(lam)
+            assert w[p] - w[p - 1] > GAP_TOL  # no grid point of this golden is a cusp
+            want = float(np.sum(slopes[:p]))
+        _assert_close(slope, want, GOLDEN_TOL, f"dE0 at lambda={lam!r}")
+
+    assert comments and all(c.startswith("# cusp,") for c in comments)
+    for line in comments:
+        lam0, left, right = (float(v) for v in line.split(",")[1:])
+        w = np.sort(levels(lam0)[0])
+        assert w[p] - w[p - 1] <= GAP_TOL
+        _assert_close(left, _one_sided(e0, lam0, -1), CUSP_TOL, f"left slope at {lam0!r}")
+        _assert_close(right, _one_sided(e0, lam0, +1), CUSP_TOL, f"right slope at {lam0!r}")
 
 
 # --- check ---

@@ -1,7 +1,9 @@
 """Filled-fermion ground energy, crossing search, cusp slopes."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hftkit.fermi import (
     ground_slope_hft,
     ground_state_curve,
 )
-from hftkit.hft import Sweep, rotated_spectrum
+from hftkit.hft import rotated_spectrum, sweep
 from hftkit.models import oscillator_model, six_site_model
 from hftkit.spectral import (
     ParametricModel,
@@ -32,6 +34,14 @@ from hftkit.symmetry import ClassificationError, classify_vector
 
 
 TWO = FillingSpec(2)
+
+
+def crossings_on(model, grid, fill):
+    return find_crossings(model, sweep(model, grid), fill)
+
+
+def curve_on(model, grid, fill):
+    return ground_state_curve(model, sweep(model, grid), fill)
 
 
 def e0_closed_form(lam):
@@ -109,29 +119,29 @@ def test_ground_slope_matches_fd_away_from_crossing():
 
 
 def test_find_crossings_hits_grid_point():
-    got = find_crossings(Sweep(six_site_model(), np.linspace(0.2, 2.0, 19)), TWO)
+    got = crossings_on(six_site_model(), np.linspace(0.2, 2.0, 19), TWO)
     assert len(got) == 1
     assert abs(got[0] - 1.0) <= 1e-8
 
 
 def test_find_crossings_bisects_between_grid_points():
-    got = find_crossings(Sweep(six_site_model(), np.linspace(0.2, 1.95, 18)), TWO)
+    got = crossings_on(six_site_model(), np.linspace(0.2, 1.95, 18), TWO)
     assert len(got) == 1
     assert abs(got[0] - 1.0) <= 1e-8
 
 
 def test_find_crossings_second_frontier():
-    got = find_crossings(Sweep(six_site_model(), np.linspace(0.2, 2.0, 25)), FillingSpec(4))
+    got = crossings_on(six_site_model(), np.linspace(0.2, 2.0, 25), FillingSpec(4))
     assert len(got) == 1
     assert abs(got[0] - 1.0) <= 1e-8
 
 
 def test_find_crossings_none_below_unity():
-    assert find_crossings(Sweep(six_site_model(), np.linspace(0.2, 0.9, 15)), TWO) == []
+    assert crossings_on(six_site_model(), np.linspace(0.2, 0.9, 15), TWO) == []
 
 
 def test_find_crossings_full_filling_has_no_frontier():
-    assert find_crossings(Sweep(six_site_model(), np.linspace(0.2, 2.0, 15)), FillingSpec(6)) == []
+    assert crossings_on(six_site_model(), np.linspace(0.2, 2.0, 15), FillingSpec(6)) == []
 
 
 def test_frontier_cluster_is_none_at_full_filling():
@@ -148,9 +158,9 @@ def test_frontier_cluster_is_none_at_full_filling():
 
 def test_find_crossings_validates_window():
     with pytest.raises(ValueError):
-        find_crossings(Sweep(six_site_model(), np.linspace(0.2, 2.0, 1)), TWO)
+        crossings_on(six_site_model(), np.linspace(0.2, 2.0, 1), TWO)
     with pytest.raises(ValueError):
-        find_crossings(Sweep(six_site_model(), np.linspace(2.0, 0.2, 10)), TWO)
+        crossings_on(six_site_model(), np.linspace(2.0, 0.2, 10), TWO)
 
 
 def test_cusp_report_values():
@@ -215,7 +225,7 @@ def test_cusp_one_sided_taylor_consistency(delta):
 def test_curve_energies_and_tags():
     model = six_site_model()
     grid = np.linspace(0.2, 2.0, 19)
-    curve = ground_state_curve(Sweep(model, grid), TWO)
+    curve = curve_on(model, grid, TWO)
     for lam, e0 in zip(curve.lambdas, curve.energies):
         assert abs(e0 - e0_closed_form(float(lam))) <= 1e-10
     tags = dict(zip(np.round(curve.lambdas, 2), curve.branch_tags))
@@ -226,7 +236,7 @@ def test_curve_energies_and_tags():
 def test_curve_continuous_across_the_cusp():
     model = six_site_model()
     grid = np.linspace(0.99, 1.01, 21)
-    curve = ground_state_curve(Sweep(model, grid), TWO)
+    curve = curve_on(model, grid, TWO)
     assert np.abs(np.diff(curve.energies)).max() <= 2e-3  # O(step), no jump
     # the slope column jumps only at the crossing
     jumps = np.abs(np.diff(curve.slopes))
@@ -234,12 +244,11 @@ def test_curve_continuous_across_the_cusp():
     assert np.argmax(jumps) in (9, 10)
 
 
-def per_column_tags(sweep, n_p):
+def per_column_tags(model, grid, n_p):
     # The curve's tags as they were taken before: one classify_vector call
     # per grid point, "" where the state is mixed.
-    model = sweep.model
     tags = []
-    for rot in sweep:
+    for rot in sweep(model, grid):
         try:
             v = rot.eigenvectors[:, n_p - 1]
             tags.append(classify_vector(v, model.symmetry, model.character_table).label)
@@ -258,15 +267,14 @@ def per_column_tags(sweep, n_p):
     (oscillator_model(n_max=8), np.linspace(-0.5, 0.5, 21), 6),
 ])
 def test_curve_tags_equal_per_column_classification(model, grid, n_p):
-    sweep = Sweep(model, grid)
-    tags = ground_state_curve(sweep, FillingSpec(n_p)).branch_tags
-    assert tags == per_column_tags(sweep, n_p)
+    tags = curve_on(model, grid, FillingSpec(n_p)).branch_tags
+    assert tags == per_column_tags(model, grid, n_p)
     assert any(tags)
 
 
 def test_curve_without_symmetry_leaves_tags_empty():
     model = dataclasses.replace(six_site_model(), symmetry=None, character_table=None)
-    curve = ground_state_curve(Sweep(model, np.linspace(0.4, 0.6, 3)), TWO)
+    curve = curve_on(model, np.linspace(0.4, 0.6, 3), TWO)
     assert curve.branch_tags == ("", "", "")
 
 
@@ -285,22 +293,13 @@ def _count_rotations(monkeypatch):
     return lambdas
 
 
-def test_sweep_fills_each_point_on_first_read(monkeypatch):
+def test_sweep_rotates_each_point_when_it_is_read(monkeypatch):
     lambdas = _count_rotations(monkeypatch)
-    sweep = Sweep(six_site_model(), np.linspace(0.5, 1.5, 5))
+    points = sweep(six_site_model(), np.linspace(0.5, 1.5, 5))
     assert lambdas == []
-    assert sweep[3] is sweep[3]
-    assert lambdas == [1.25]
-    assert [rot.lam for rot in sweep] == [0.5, 0.75, 1.0, 1.25, 1.5]
-    assert lambdas == [1.25, 0.5, 0.75, 1.0, 1.5]
-
-
-def test_curve_and_crossings_share_one_sweep(monkeypatch):
-    lambdas = _count_rotations(monkeypatch)
-    sweep = Sweep(six_site_model(), np.linspace(0.2, 2.0, 19))
-    ground_state_curve(sweep, TWO)
-    assert find_crossings(sweep, TWO) == [1.0]
-    assert len(lambdas) == 19
+    assert next(points).lam == 0.5 and lambdas == [0.5]
+    assert [rot.lam for rot in points] == [0.75, 1.0, 1.25, 1.5]
+    assert lambdas == [0.5, 0.75, 1.0, 1.25, 1.5]
 
 
 # exact rotation counts: a cusp on the grid reuses the sweep's point
@@ -346,14 +345,12 @@ def test_run_fermi_diagonalizes_a_cusp_on_the_grid_once(monkeypatch):
 # --- Newton refinement against the bisection it replaced ---
 
 
-def _bisection_crossings(sweep, fill):
+def _bisection_crossings(model, grid, fill):
     """The crossing search as it was before Newton refinement: the tracked
     frontier gap bisected down to ``BISECTION_WIDTH`` in every interval
     whose right end shows a swap."""
-    model = sweep.model
     n_p = fill.n_particles
-    grid = sweep.lambdas
-    rots = list(sweep)
+    rots = list(sweep(model, grid))
     hits = {i for i, rot in enumerate(rots) if _frontier_cluster(rot, n_p) is not None}
     crossings = [float(grid[i]) for i in sorted(hits)]
     for i in range(len(grid) - 1):
@@ -381,7 +378,7 @@ def _bisection_crossings(sweep, fill):
     return sorted(crossings)
 
 
-@pytest.mark.parametrize("model, lo, hi, steps, n_p", [
+SEARCH_GRIDS = [
     (six_site_model(), 0.2, 1.95, 18, 2),
     (six_site_model(), 0.2, 2.0, 36, 2),
     (six_site_model(), 0.05, 2.9, 11, 4),
@@ -391,19 +388,22 @@ def _bisection_crossings(sweep, fill):
     (oscillator_model(n_max=8), -0.3, 0.87, 17, 4),
     (oscillator_model(n_max=8), 0.07, 0.93, 41, 10),
     (oscillator_model(n_max=8), -0.3, 0.47, 17, 8),
-])
+]
+
+
+@pytest.mark.parametrize("model, lo, hi, steps, n_p", SEARCH_GRIDS)
 def test_newton_crossings_agree_with_bisection(model, lo, hi, steps, n_p):
-    sweep = Sweep(model, np.linspace(lo, hi, steps))
+    grid = np.linspace(lo, hi, steps)
     fill = FillingSpec(n_p)
-    want = _bisection_crossings(sweep, fill)
-    got = find_crossings(sweep, fill)
+    want = _bisection_crossings(model, grid, fill)
+    got = crossings_on(model, grid, fill)
     assert len(got) == len(want)
     assert np.abs(np.array(got) - np.array(want)).max(initial=0.0) <= BISECTION_WIDTH
 
 
 def test_newton_refinement_spectrum_calls(monkeypatch):
     lambdas = _count_spectra(monkeypatch)
-    got = find_crossings(Sweep(six_site_model(), np.linspace(0.2, 1.95, 18)), TWO)
+    got = crossings_on(six_site_model(), np.linspace(0.2, 1.95, 18), TWO)
     assert len(got) == 1 and abs(got[0] - 1.0) <= 1e-8
     # 18 grid points, two grid-end probes on each of 17 intervals, and three
     # Newton probes of two calls each (bisection took 56)
@@ -435,9 +435,8 @@ def test_tracked_pair_off_the_frontier_is_an_error_not_a_crossing(capsys):
     # 6 and 7 while the frontier pair 7, 8 stays 0.0124 apart; finer grids
     # (57 and 113 steps) meet the same pair
     model = oscillator_model(n_max=8)
-    sweep = Sweep(model, np.linspace(-0.61, 0.77, 29))
     with pytest.raises(TrackingError, match=r"not the occupation frontier") as info:
-        find_crossings(sweep, FillingSpec(8))
+        crossings_on(model, np.linspace(-0.61, 0.77, 29), FillingSpec(8))
     message = str(info.value)
     assert "[-0.61, -0.5607142857142857]" in message and "lambda=-0.60248" in message
     assert "finer grid" not in message
@@ -462,8 +461,8 @@ def test_frontier_states_tracked_into_one_state_are_an_error_not_a_crossing():
     )
     for n_p, steps in ((1, 4), (2, 3)):
         with pytest.raises(TrackingError, match="a finer grid may tell them apart"):
-            find_crossings(Sweep(model, np.linspace(-2.0, 2.0, steps)), FillingSpec(n_p))
-        assert find_crossings(Sweep(model, np.linspace(-2.0, 2.0, 401)), FillingSpec(n_p)) == []
+            crossings_on(model, np.linspace(-2.0, 2.0, steps), FillingSpec(n_p))
+        assert crossings_on(model, np.linspace(-2.0, 2.0, 401), FillingSpec(n_p)) == []
 
 
 @pytest.mark.parametrize("grid", [np.linspace(-1.0, 0.9, 4), np.linspace(-1.0, 1.0, 4)])
@@ -476,7 +475,7 @@ def test_avoided_crossing_below_the_tolerance_is_a_crossing_on_every_grid(grid):
         b=SymmetricMatrix([[1.0, 0.0], [0.0, -1.0]]),
     )
     fill = FillingSpec(1)
-    got = find_crossings(Sweep(model, grid), fill)
+    got = crossings_on(model, grid, fill)
     assert len(got) == 1 and abs(got[0]) <= 1e-20
     report = cusp_report(model, got[0], fill)
     assert (report.slope_left, report.slope_right) == pytest.approx((1.0, -1.0), abs=1e-12)
@@ -484,4 +483,61 @@ def test_avoided_crossing_below_the_tolerance_is_a_crossing_on_every_grid(grid):
 
 def test_sweep_rejects_a_non_vector_grid():
     with pytest.raises(ValueError, match="one-dimensional"):
-        Sweep(oscillator_model(n_max=2), np.zeros((2, 2)))
+        sweep(oscillator_model(n_max=2), np.zeros((2, 2)))
+
+
+# --- the grid readers stream their points ---
+
+
+class _Watch:
+    """Passes the points of a sweep on, and at each one counts how many of
+    the points passed so far, and of their vector arrays, are still alive.
+    Weak references are kept in lists: neither a frozen record holding
+    arrays nor an array is hashable, so a ``weakref.WeakSet`` cannot."""
+
+    def __init__(self):
+        self.refs = []
+        self.most = 0
+
+    def __call__(self, points):
+        for rot in points:
+            gc.collect()
+            self.refs.append((weakref.ref(rot), weakref.ref(rot.vectors)))
+            self.most = max(self.most, *self._alive())
+            yield rot
+
+    def _alive(self):
+        return [sum(r[k]() is not None for r in self.refs) for k in (0, 1)]
+
+    def alive(self):
+        gc.collect()
+        return sum(self._alive())
+
+
+@pytest.fixture
+def frozen_heap():
+    # Objects made before the test leave the collector's view, so that each
+    # gc.collect() looks at the test's own objects only and stays fast.
+    gc.freeze()
+    yield
+    gc.unfreeze()
+
+
+@pytest.mark.parametrize("model, lo, hi, steps, n_p", SEARCH_GRIDS)
+def test_grid_readers_hold_at_most_two_points(frozen_heap, model, lo, hi, steps, n_p):
+    grid = np.linspace(lo, hi, steps)
+    fill = FillingSpec(n_p)
+    watch = _Watch()
+    got = find_crossings(model, watch(sweep(model, grid)), fill)
+    assert got == find_crossings(model, list(sweep(model, grid)), fill)
+    assert watch.most == 2  # the point in hand and the one before it
+    assert watch.alive() == 0
+
+    watch = _Watch()
+    curve = ground_state_curve(model, watch(sweep(model, grid)), fill)
+    assert watch.most <= 2
+    assert watch.alive() == 0  # the curve keeps copies, not the points
+    listed = ground_state_curve(model, list(sweep(model, grid)), fill)
+    for name in ("lambdas", "energies", "slopes"):
+        assert getattr(curve, name).tobytes() == getattr(listed, name).tobytes()
+    assert curve.branch_tags == listed.branch_tags

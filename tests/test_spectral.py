@@ -202,6 +202,29 @@ def test_fd_onesided_matches_analytic():
         fd_derivative_onesided(lambda x: x, 0.0, 1e-4, side=0)
 
 
+@pytest.mark.parametrize("side", [+1, -1])
+def test_fd_onesided_on_arrays_equals_elementwise_scalar_calls(side):
+    coeffs = np.array([0.3, -1.7, 2.2e3, 1e-9, 0.0])
+
+    def values(x):
+        return np.sin(coeffs * x) + coeffs * x**3
+
+    got = fd_derivative_onesided(values, 0.41, 1e-3, side)
+    want = [fd_derivative_onesided(lambda x, j=j: float(values(x)[j]), 0.41, 1e-3, side)
+            for j in range(len(coeffs))]
+    assert got.shape == coeffs.shape
+    assert got.tobytes() == np.array(want).tobytes()
+
+    def one_bad_element(x):
+        v = values(x)
+        if x != 0.41:
+            v[3] = math.nan
+        return v
+
+    with pytest.raises(ValueError, match=r"non-finite function value near x0=0\.41"):
+        fd_derivative_onesided(one_bad_element, 0.41, 1e-3, side)
+
+
 # --- parametric model plumbing ---
 
 
