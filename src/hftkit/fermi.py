@@ -59,7 +59,7 @@ class CuspReport:
     frontier_indices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundStateCurve:
     """Grid samples of the filled-fermion ground energy and its slope.
 

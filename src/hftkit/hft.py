@@ -92,7 +92,7 @@ def mixed_slope(cluster_slopes: np.ndarray, coeffs: np.ndarray) -> float:
     return float(np.sum(c * c * slopes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RotatedSpectrum:
     """A spectrum with every degenerate cluster rotated to the basis in
     which the cluster block of dH/dlambda is diagonal.

@@ -62,21 +62,13 @@ def six_site_analytic_eigenvalues(lam: float) -> np.ndarray:
 
 def six_site_rep() -> GroupRep:
     """C2v realized by site permutations: the half-turn of the ring and the
-    two reflections (one reversing site order, one fixing sites 1 and 4)."""
-    def perm(mapping):
-        u = np.zeros((6, 6))
-        for row, col in mapping:
-            u[row, col] = 1.0
-        return u
-
-    e = np.eye(6)
-    c2 = perm([(0, 3), (1, 4), (2, 5), (3, 0), (4, 1), (5, 2)])
-    sv1 = perm([(0, 5), (1, 4), (2, 3), (3, 2), (4, 1), (5, 0)])
-    sv2 = perm([(0, 2), (1, 1), (2, 0), (3, 5), (4, 4), (5, 3)])
-    return GroupRep(
+    two reflections (one reversing site order, one fixing sites 1 and 4).
+    Row i of each element has its 1 in the column listed at position i."""
+    return GroupRep.from_row_actions(
         name="C2v",
         labels=("E", "C2", "sigma_v1", "sigma_v2"),
-        matrices=np.stack([e, c2, sv1, sv2]),
+        cols=[[0, 1, 2, 3, 4, 5], [3, 4, 5, 0, 1, 2], [5, 4, 3, 2, 1, 0], [2, 1, 0, 5, 4, 3]],
+        vals=np.ones((4, 6)),
     )
 
 
@@ -214,14 +206,20 @@ def oscillator_rep(n_max: int) -> GroupRep:
     m, n = _shell_indices(n_max)
     nu = m + n
     parity = np.where(nu % 2 == 0, 1.0, -1.0)
+    ones = np.ones_like(parity)
     i = np.arange(len(nu))
-    mats = np.zeros((4, len(nu), len(nu)))
-    mats[0, i, i] = 1.0
-    mats[1, i, i] = parity
-    mats[2, nu * (nu + 1) // 2 + n, i] = 1.0  # |m, n> -> |n, m>
-    # u1 @ u2 is u2 with row i scaled by parity i.
-    np.multiply(parity[:, None], mats[2], out=mats[3])
-    return GroupRep(name="C2v", labels=("E", "C2", "sigma_v1", "sigma_v2"), matrices=mats)
+    swap = nu * (nu + 1) // 2 + n  # the index of |n, m>
+    # sigma_v2 = C2 @ sigma_v1 scales whole rows of the swap by the parity,
+    # its zeros included; the other three elements have +0.0 zeros.
+    zeros = np.zeros((4, len(nu)))
+    zeros[3] = 0.0 * parity
+    return GroupRep.from_row_actions(
+        name="C2v",
+        labels=("E", "C2", "sigma_v1", "sigma_v2"),
+        cols=np.stack([i, i, swap, swap]),
+        vals=np.stack([ones, parity, ones, parity]),
+        zeros=zeros,
+    )
 
 
 def oscillator_model(

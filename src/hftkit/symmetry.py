@@ -7,6 +7,12 @@ invariant Hamiltonian are classified by measuring <v|U(g)|v> against the
 table rows, and symmetry-adapted components are extracted with the usual
 projection operator P = (1/|G|) sum_g chi(g) U(g).
 
+An element with at most one nonzero per row, such as a signed permutation,
+is stored as its row action (the column and value of that entry in each
+row) and applied by index; only other elements are stored as d x d
+matrices, and the dense stack is built only when ``GroupRep.matrices`` is
+read.
+
 Only abelian groups (all irreps one-dimensional, real characters) are in
 scope.
 """
@@ -14,7 +20,7 @@ scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,20 +37,60 @@ class ClassificationError(ValueError):
     """A vector matches no irrep row: it mixes different symmetries."""
 
 
-def _row_action(u: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """For a matrix with at most one nonzero per row, the column index and
-    the value of that entry in each row (column 0 and value 0 for a zero
-    row); None for any other matrix."""
+class RowAction(NamedTuple):
+    """An element with at most one nonzero per row, such as a signed
+    permutation: the column and value of that entry in each row (column 0
+    for a zero row), and the value, +0.0 or -0.0, of the row's other
+    entries."""
+
+    cols: np.ndarray
+    vals: np.ndarray
+    zeros: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        d = len(self.cols)
+        u = np.repeat(self.zeros[:, None], d, axis=1)
+        u[np.arange(d), self.cols] = self.vals
+        return u
+
+
+Element = Union[RowAction, np.ndarray]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _element(u: np.ndarray) -> Element:
+    """u as a :class:`RowAction` when that form rebuilds it bit for bit,
+    else a read-only copy of u."""
     nonzero = u != 0.0
-    if np.any(np.count_nonzero(nonzero, axis=1) > 1):
-        return None
-    cols = nonzero.argmax(axis=1)
-    return cols, u[np.arange(u.shape[0]), cols]
+    if np.count_nonzero(nonzero, axis=1).max(initial=0) <= 1:
+        rows = np.arange(u.shape[0])
+        cols = nonzero.argmax(axis=1)
+        zeros = np.copysign(0.0, u[rows, (cols + 1) % u.shape[0]])
+        action = RowAction(*map(_read_only, (cols, u[rows, cols], zeros)))
+        if action.dense().tobytes() == u.tobytes():
+            return action
+    return _read_only(u.copy())
 
 
-@dataclass(frozen=True)
+def _dense(element: Element) -> np.ndarray:
+    return element if isinstance(element, np.ndarray) else element.dense()
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class GroupRep:
     """Ordered list of (label, orthogonal matrix) realizing a finite group.
+
+    Each element with at most one nonzero per row, such as a signed
+    permutation, is kept as its :class:`RowAction` only, so a rep of
+    signed permutations holds O(order * d) numbers, not the (order, d, d)
+    stack; any other element is kept as its d x d matrix.
+    ``GroupRep(name, labels, matrices)`` takes a stack and
+    :meth:`from_row_actions` takes the row actions.  ``matrices`` builds
+    the stack anew on every read.
 
     The first element is expected to be the identity; use
     :func:`verify_group` for the full orthogonality/closure check.
@@ -52,47 +98,72 @@ class GroupRep:
 
     name: str
     labels: tuple[str, ...]
-    matrices: np.ndarray  # shape (order, dim, dim)
-    # Per element, its _row_action: (column, value) per row, or None.
-    _actions: tuple[Optional[tuple[np.ndarray, np.ndarray]], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    dim: int
+    _elements: tuple[Element, ...] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        mats = np.array(self.matrices, dtype=float)
+    def __init__(self, name: str, labels: Sequence[str], matrices: np.ndarray) -> None:
+        mats = np.asarray(matrices, dtype=float)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError("matrices must be a stack of square arrays")
-        if mats.shape[0] != len(self.labels) or mats.shape[0] < 1:
+        self._set(name, labels, mats.shape[1], [_element(u) for u in mats])
+
+    @classmethod
+    def from_row_actions(
+        cls,
+        name: str,
+        labels: Sequence[str],
+        cols: np.ndarray,
+        vals: np.ndarray,
+        zeros: Optional[np.ndarray] = None,
+    ) -> "GroupRep":
+        """The rep whose element k has, in row i, the value ``vals[k, i]``
+        in column ``cols[k, i]`` and ``zeros[k, i]`` (+0.0 or -0.0, +0.0 by
+        default) everywhere else."""
+        cols = _read_only(np.array(cols, dtype=np.intp))
+        vals = _read_only(np.array(vals, dtype=float))
+        zeros = _read_only(np.zeros(vals.shape) if zeros is None else np.array(zeros, dtype=float))
+        if cols.ndim != 2 or vals.shape != cols.shape or zeros.shape != cols.shape:
+            raise ValueError("cols, vals and zeros must be (order, dim) arrays of one shape")
+        dim = cols.shape[1]
+        if cols.size and (cols.min() < 0 or cols.max() >= dim):
+            raise ValueError(f"columns must lie in [0, {dim})")
+        rep = object.__new__(cls)
+        rep._set(name, labels, dim, [RowAction(*rows) for rows in zip(cols, vals, zeros)])
+        return rep
+
+    def _set(self, name: str, labels: Sequence[str], dim: int, elements: list[Element]) -> None:
+        if len(elements) != len(labels) or not elements:
             raise ValueError("need one label per matrix, at least one element")
-        mats.flags.writeable = False
-        object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "_actions", tuple(_row_action(u) for u in mats))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_elements", tuple(elements))
 
     @property
     def order(self) -> int:
-        return self.matrices.shape[0]
+        return len(self._elements)
 
     @property
-    def dim(self) -> int:
-        return self.matrices.shape[1]
+    def matrices(self) -> np.ndarray:
+        """The (order, d, d) stack of element matrices, built on each read."""
+        return np.stack([_dense(e) for e in self._elements])
 
     def elements(self) -> Iterator[tuple[str, np.ndarray]]:
-        return zip(self.labels, self.matrices)
+        """(label, d x d matrix) per element, each matrix built as it is read."""
+        return ((label, _dense(e)) for label, e in zip(self.labels, self._elements))
 
     def act(self, k: int, v: np.ndarray) -> np.ndarray:
-        """U(g_k) @ v for a vector or a d x n array v.  An element with at
-        most one nonzero per row, such as a signed permutation, is applied as
-        a gather and a scale.  Each output entry of the product is then a
-        single term, so both give the same bits, up to the sign of a zero."""
-        action = self._actions[k]
-        if action is None:
-            return self.matrices[k] @ v
-        cols, vals = action
-        return v[cols] * vals.reshape((-1,) + (1,) * (v.ndim - 1))
+        """U(g_k) @ v for a vector or a d x n array v.  A row action is
+        applied as a gather and a scale.  Each output entry of the product is
+        then a single term, so both give the same bits, up to the sign of a
+        zero."""
+        element = self._elements[k]
+        if isinstance(element, np.ndarray):
+            return element @ v
+        return v[element.cols] * element.vals.reshape((-1,) + (1,) * (v.ndim - 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupVerification:
     passed: bool
     identity_ok: bool
@@ -110,13 +181,14 @@ def verify_group(rep: GroupRep) -> GroupVerification:
     failures: list[str] = []
     dim = rep.dim
     eye = np.eye(dim)
+    mats = rep.matrices
 
-    identity_ok = bool(np.abs(rep.matrices[0] - eye).max() <= IDENTITY_TOL)
+    identity_ok = bool(np.abs(mats[0] - eye).max() <= IDENTITY_TOL)
     if not identity_ok:
         failures.append(f"first element {rep.labels[0]!r} is not the identity")
 
     worst_orth = 0.0
-    for label, u in rep.elements():
+    for label, u in zip(rep.labels, mats):
         r = float(np.abs(u.T @ u - eye).max())
         worst_orth = max(worst_orth, r)
         if r > ORTHOGONALITY_TOL:
@@ -127,8 +199,8 @@ def verify_group(rep: GroupRep) -> GroupVerification:
     worst_closure = 0.0
     for i in range(rep.order):
         for j in range(rep.order):
-            prod = rep.matrices[i] @ rep.matrices[j]
-            residuals = np.abs(rep.matrices - prod).max(axis=(1, 2))
+            prod = mats[i] @ mats[j]
+            residuals = np.abs(mats - prod).max(axis=(1, 2))
             k = int(np.argmin(residuals))
             if residuals[k] <= CLOSURE_TOL:
                 table[i, j] = k

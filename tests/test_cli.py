@@ -1,6 +1,7 @@
 """CSV/SVG emission, subcommand behavior, exit codes."""
 
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -410,18 +411,31 @@ def _oscillator_matrices(nmax, omega=1.0):
     return h0, xy
 
 
+def _cluster_cuts(w):
+    """Bounds of the clusters of ascending levels w: runs of levels closer
+    than 1e-8 (1 + max |E|)."""
+    tol = 1e-8 * (1.0 + np.abs(w).max())
+    return [0, *(k for k in range(1, len(w)) if w[k] - w[k - 1] > tol), len(w)]
+
+
+def _rotated_states(h0, dh, lam):
+    """Ascending eigenvalues of h0 + lam * dh, their eigenvectors with the dh
+    block of every cluster diagonalized, and the Hellmann-Feynman slopes
+    <v|dh|v> (block eigenvalues, ascending inside a cluster)."""
+    w, v = np.linalg.eigh(h0 + lam * dh)
+    block = v.T @ dh @ v
+    slopes = np.diag(block).copy()
+    cuts = _cluster_cuts(w)
+    for a, z in zip(cuts[:-1], cuts[1:]):
+        slopes[a:z], rotation = np.linalg.eigh(block[a:z, a:z])
+        v[:, a:z] = v[:, a:z] @ rotation
+    return w, v, slopes
+
+
 def _oscillator_levels(matrices, lam):
     """Ascending eigenvalues of H0 + lam * xy and their Hellmann-Feynman
-    slopes: <v|xy|v>, with the xy block of every cluster of levels closer
-    than 1e-8 (1 + max |E|) diagonalized, block eigenvalues ascending."""
-    h0, xy = matrices
-    w, v = np.linalg.eigh(h0 + lam * xy)
-    block = v.T @ xy @ v
-    slopes = np.diag(block).copy()
-    tol = 1e-8 * (1.0 + np.abs(w).max())
-    cuts = [0, *(k for k in range(1, len(w)) if w[k] - w[k - 1] > tol), len(w)]
-    for a, z in zip(cuts[:-1], cuts[1:]):
-        slopes[a:z] = np.linalg.eigvalsh(block[a:z, a:z])
+    slopes."""
+    w, _, slopes = _rotated_states(*matrices, lam)
     return w, slopes
 
 
@@ -623,6 +637,92 @@ def test_check_stdout_is_byte_identical_to_the_golden_output(argv, capsys):
     assert capsys.readouterr() == (GOLDEN_CHECKS[argv], "")
 
 
+# --- the check golden against closed forms and an independent eigh ---
+
+# check prints, per state, the rotated slope (lhs), its oracle reference
+# (difference quotients of the closed-form levels) and their residual.
+#   lhs: eigh of the oscillator matrix built above, or the six-site closed
+#     forms, within GOLDEN_TOL (the printed 13 digits round by <= 5e-13).
+#   reference: the closed-form slope within FD_TOL wherever no level
+#     outside the state's cluster comes within four difference steps;
+#     difference quotients at step FD_STEP of levels up to ~10 round by
+#     about 2e-11, and the Richardson weights multiply that by up to ~5.
+#   residual: |lhs - reference| of the printed numbers, within the printed
+#     rounding of all three (5e-13 |x| for lhs and reference, 5e-4 relative
+#     for the residual).
+FD_STEP = 1e-4  # check's default --fd-step
+FD_TOL = 2e-10
+CHECK_THRESHOLD = 1e-6
+_STATE_LINE = re.compile(r"state +(\d+): lhs= ?(\S+) reference= ?(\S+) residual=(\S+)")
+_VERDICT_LINE = re.compile(r"worst residual (\S+) (<=|>) threshold (\S+): (PASS|FAIL)")
+
+
+def _closed_form_levels(options, lam):
+    """The closed-form levels of the golden's model in ascending order, and
+    their slopes, ascending inside each cluster.  The oscillator's are
+    E = (m + 1/2) sqrt(1 + lam) + (n + 1/2) sqrt(1 - lam) over m + n <= nmax
+    (omega = 1), with slope (2m + 1) / (4 sqrt(1 + lam)) - (2n + 1) / (4 sqrt(1 - lam))."""
+    if options["model"] == "six-site":
+        values, slopes = _six_site_branches(lam)
+    else:
+        nmax = int(options["nmax"])
+        m, n = np.array([(m, nu - m) for nu in range(nmax + 1) for m in range(nu + 1)]).T
+        k1, k2 = math.sqrt(1.0 + lam), math.sqrt(1.0 - lam)
+        values = (m + 0.5) * k1 + (n + 0.5) * k2
+        slopes = (2 * m + 1) / (4.0 * k1) - (2 * n + 1) / (4.0 * k2)
+    order = np.argsort(values, kind="stable")
+    values, slopes = values[order], slopes[order]
+    cuts = _cluster_cuts(values)
+    for a, z in zip(cuts[:-1], cuts[1:]):
+        slopes[a:z] = np.sort(slopes[a:z])
+    return values, slopes, cuts
+
+
+def _isolated(values, slopes, cuts, k, reach):
+    """No level outside state k's cluster meets its tangent within reach of
+    lambda: |E_j - E_k| > reach |s_j - s_k| for every such level j."""
+    a = max(c for c in cuts if c <= k)
+    z = min(c for c in cuts if c > k)
+    outside = np.r_[0:a, z:len(values)]
+    return bool(np.all(np.abs(values[outside] - values[k])
+                       > reach * np.abs(slopes[outside] - slopes[k])))
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_CHECKS))
+def test_check_golden_agrees_with_an_independent_reference(argv):
+    options = _golden_options(argv)
+    lam = float(options["lambda"])
+    lines = GOLDEN_CHECKS[argv].splitlines()
+    states = [_STATE_LINE.fullmatch(line) for line in lines[1:-1]]
+    assert lines[0].startswith(f"model {options['model']} at lambda=") and all(states)
+    values, slopes, cuts = _closed_form_levels(options, lam)
+    if options["model"] == "six-site":
+        lhs_want = slopes
+    else:
+        _, _, lhs_want = _rotated_states(*_oscillator_matrices(int(options["nmax"])), lam)
+    assert [int(m[1]) for m in states] == list(range(len(values)))
+
+    residuals, checked = [], 0
+    for k, match in enumerate(states):
+        lhs, reference, residual = (float(v) for v in match.groups()[1:])
+        _assert_close(lhs, lhs_want[k], GOLDEN_TOL, f"lhs of state {k}")
+        if _isolated(values, slopes, cuts, k, 4 * FD_STEP):
+            _assert_close(reference, slopes[k], FD_TOL, f"reference of state {k}")
+            checked += 1
+        assert abs(residual - abs(lhs - reference)) <= (
+            5e-13 * (abs(lhs) + abs(reference)) + 5e-4 * residual), f"residual of state {k}"
+        residuals.append(residual)
+    assert checked == len(states)  # no level of these goldens is near a crossing
+
+    worst, relation, threshold, verdict = _VERDICT_LINE.fullmatch(lines[-1]).groups()
+    assert float(worst) == max(residuals)
+    assert float(threshold) == CHECK_THRESHOLD
+    passed = float(worst) <= CHECK_THRESHOLD
+    assert (relation, verdict) == (("<=", "PASS") if passed else (">", "FAIL"))
+    # and the verdict is the one the references give
+    assert passed == bool(np.abs(lhs_want - slopes).max() <= CHECK_THRESHOLD)
+
+
 # --- classify ---
 
 # The full stdout of classify on the degenerate oscillator shells at
@@ -786,6 +886,66 @@ def test_classify_stdout_is_byte_identical_to_the_golden_output(argv, capsys):
     assert main(argv.split()) == 0
     assert capsys.readouterr() == (GOLDEN_CLASSIFY[argv], "")
 
+
+
+# --- the classify golden against eigh and the symmetry sectors ---
+
+# Each line is a state index, its energy and its C2v label.  Energies are
+# checked against the six-site closed forms or eigh of the oscillator matrix
+# within GOLDEN_TOL.  A label must be the sector of the state, rotated as in
+# _rotated_states, under the half-turn C2 and the reflection sigma_v1: on
+# the oscillator, parity (-1)^(m + n) and the swap |m, n> -> |n, m>; on the
+# six-site ring, sites i -> i + 3 and i -> 5 - i.  Both characters of a state
+# must be +-1 within SECTOR_TOL, classify's own tolerance.
+SECTOR_TOL = 1e-6
+C2V_SECTORS = {(1, 1): "A1", (1, -1): "A2", (-1, 1): "B1", (-1, -1): "B2"}
+
+
+def _six_site_matrices():
+    """H(0) and dH/dlambda of the six-site ring: unit bonds 0-1, 1-2, 3-4
+    and 4-5, lambda bonds 0-5 and 2-3."""
+    h0, dh = np.zeros((6, 6)), np.zeros((6, 6))
+    for m, bonds in ((h0, ((0, 1), (1, 2), (3, 4), (4, 5))), (dh, ((0, 5), (2, 3)))):
+        for i, j in bonds:
+            m[i, j] = m[j, i] = 1.0
+    return h0, dh
+
+
+def _sector_operators(options):
+    """C2 and sigma_v1 of the golden's model, as d x d matrices."""
+    if options["model"] == "six-site":
+        return np.eye(6)[[3, 4, 5, 0, 1, 2]], np.eye(6)[::-1]
+    nmax = int(options["nmax"])
+    basis = [(m, nu - m) for nu in range(nmax + 1) for m in range(nu + 1)]
+    index = {state: i for i, state in enumerate(basis)}
+    parity = np.diag([(-1.0) ** (m + n) for m, n in basis])
+    swap = np.eye(len(basis))[[index[(n, m)] for m, n in basis]]
+    return parity, swap
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_CLASSIFY))
+def test_classify_golden_agrees_with_an_independent_reference(argv):
+    options = _golden_options(argv)
+    lam = float(options["lambda"])
+    if options["model"] == "six-site":
+        matrices = _six_site_matrices()
+        energies = np.sort(_six_site_branches(lam)[0])
+    else:
+        matrices = _oscillator_matrices(int(options["nmax"]))
+        energies = np.linalg.eigvalsh(matrices[0] + lam * matrices[1])
+    _, vectors, _ = _rotated_states(*matrices, lam)
+    c2, sigma = _sector_operators(options)
+    lines = GOLDEN_CLASSIFY[argv].splitlines()
+    assert len(lines) == len(energies)
+    for k, line in enumerate(lines):
+        index, energy, label = line.split()
+        assert int(index) == k
+        _assert_close(float(energy), energies[k], GOLDEN_TOL, f"energy of state {k}")
+        v = vectors[:, k]
+        chi = (v @ c2 @ v, v @ sigma @ v)
+        sector = tuple(1 if c > 0 else -1 for c in chi)
+        assert np.abs(np.subtract(chi, sector)).max() <= SECTOR_TOL, f"state {k}: {chi}"
+        assert label == C2V_SECTORS[sector], f"state {k}"
 
 
 def test_classify_six_site_listing():

@@ -1,6 +1,7 @@
 """The two built-in systems against their closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,24 @@ def test_oscillator_rep_verifies():
     from hftkit.symmetry import verify_group
 
     assert verify_group(oscillator_rep(5)).passed
+
+
+def test_oscillator_build_keeps_only_a_and_b_as_dense_arrays():
+    # The C2v rep is four row actions of d entries each, so a model holds
+    # two d x d arrays (A and B) and its build never needs a third and a half.
+    n_max = 32
+    d = oscillator_dim(n_max)
+    build_model("oscillator", nmax=n_max)
+    tracemalloc.start()
+    try:
+        model = build_model("oscillator", nmax=n_max)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    double = np.dtype(float).itemsize
+    assert kept <= (2 * d * d + 64 * d) * double
+    assert peak <= 4 * d * d * double
+    assert model.symmetry.matrices.tobytes() == _loop_rep_matrices(n_max).tobytes()
 
 
 # --- registry ---

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hftkit.fermi import FillingSpec, ground_state_curve
+from hftkit.hft import rotated_spectrum, sweep
 from hftkit.models import (
     oscillator_matrix,
     oscillator_model,
     oscillator_xy_matrix,
     six_site_hamiltonian,
     six_site_model,
+    six_site_rep,
 )
 from hftkit.spectral import (
     ParametricModel,
@@ -25,6 +28,7 @@ from hftkit.spectral import (
     match_columns,
     track,
 )
+from hftkit.symmetry import verify_group
 
 
 def six_site_closed_forms(lam):
@@ -518,6 +522,44 @@ def test_symmetric_matrix_leaves_symmetric_entries_bitwise():
     assert m[1, 2] == m[2, 1] == (skewed[1, 2] + skewed[2, 1]) / 2.0
 
 
+def _full_pass_symmetric(entries):
+    """The constructor's arithmetic without its equality shortcut: every
+    input pays for max|A| and max|A - A^T|."""
+    a = np.array(entries, dtype=float)
+    scale = max(1.0, float(np.abs(a).max()))
+    asym = float(np.abs(a - a.T).max())
+    if asym > 1e-12 * scale:
+        raise ValueError(f"matrix is not symmetric: max|A - A^T| = {asym:g}")
+    if asym > 0.0:
+        a = np.where(a == a.T, a, a / 2.0 + a.T / 2.0)
+    return a
+
+
+def test_symmetric_matrix_equals_the_full_pass_on_every_kind_of_input():
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((9, 9))
+    a = a + a.T
+    a[2, 5], a[5, 2] = 0.0, -0.0  # a +-0.0 mirror pair is exactly symmetric
+    a[0, 3] = a[3, 0] = -0.0
+    near = a.copy()
+    near[1, 4] += 3e-15
+    near[7, 6] -= 1e-15
+    huge = [[1.7e308, 0.0], [0.0, 1.0]]
+    for entries in (a, near, huge, [[1.7e308, 1.0], [0.0, 1.0]], np.zeros((1, 1))):
+        got = SymmetricMatrix(entries).entries
+        assert got.tobytes() == _full_pass_symmetric(entries).tobytes()
+    for entries in (a, huge):
+        assert SymmetricMatrix(entries).entries.tobytes() == np.array(entries).tobytes()
+    far = a.copy()
+    far[4, 1] += 1e-6
+    for entries in (far, [[0.0, 1.0], [0.5, 0.0]], [[1.7e308, 1e300], [0.0, 1.0]]):
+        with pytest.raises(ValueError) as want:
+            _full_pass_symmetric(entries)
+        with pytest.raises(ValueError) as got:
+            SymmetricMatrix(entries)
+        assert str(got.value) == str(want.value)
+
+
 def test_affine_is_bitwise_the_checked_constructor():
     rng = np.random.default_rng(5)
     for d in (1, 6, 30):
@@ -539,3 +581,32 @@ def test_affine_rejects_overflow_and_mismatched_dimensions():
         SymmetricMatrix.affine(a, math.nan, b)
     with pytest.raises(ValueError, match="cannot add"):
         SymmetricMatrix.affine(a, 1.0, SymmetricMatrix(np.eye(3)))
+
+
+# --- records holding arrays compare by identity ---
+
+
+def _records():
+    """One factory per frozen record that holds arrays."""
+    six = six_site_model()
+    return {
+        "SymmetricMatrix": lambda: six_site_hamiltonian(0.5),
+        "Spectrum": lambda: six.spectrum(0.5),
+        "ParametricModel": six_site_model,
+        "RotatedSpectrum": lambda: rotated_spectrum(six, 0.5),
+        "GroupRep": six_site_rep,
+        "GroupVerification": lambda: verify_group(six_site_rep()),
+        "GroundStateCurve": lambda: ground_state_curve(
+            six, sweep(six, np.linspace(0.5, 1.5, 3)), FillingSpec(2)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_records()))
+def test_array_records_hash_and_compare_by_identity(name):
+    build = _records()[name]
+    x, y = build(), build()
+    assert type(x).__name__ == name
+    assert hash(x) == hash(x)
+    assert x == x
+    assert x != y and not (x == y)
+    assert len({x, y}) == 2

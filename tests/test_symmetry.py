@@ -14,6 +14,7 @@ from hftkit.symmetry import (
     CharacterTable,
     ClassificationError,
     GroupRep,
+    RowAction,
     c2v_character_table,
     classify,
     classify_vector,
@@ -279,7 +280,7 @@ def _unit_columns(rng, d, k):
 @pytest.mark.parametrize("rep, model", [(six_site_rep(), six_site_model()),
                                         (oscillator_rep(8), oscillator_model(n_max=8))])
 def test_built_in_elements_act_by_index_with_the_product_bits(rep, model):
-    assert all(action is not None for action in rep._actions)
+    assert all(isinstance(e, RowAction) for e in rep._elements)
     rng = np.random.default_rng(5)
     lam = 0.5 if model.name == "six-site" else 0.0
     columns = np.hstack([rotated_spectrum(model, lam).eigenvectors,
@@ -297,8 +298,42 @@ def test_sparse_row_elements_act_by_index_with_the_product_bits(seed, dim, zero_
     u[np.arange(dim), rng.integers(0, dim, dim)] = rng.normal(size=dim)
     u[rng.integers(0, dim, zero_rows)] = 0.0
     rep = GroupRep(name="G", labels=("E", "U"), matrices=np.stack([np.eye(dim), u]))
-    assert rep._actions[1] is not None
+    assert isinstance(rep._elements[1], RowAction)
     _assert_characters_match(_unit_columns(rng, dim, 4), rep)
+
+
+def test_row_action_reps_rebuild_their_stack_bit_for_bit():
+    rep = oscillator_rep(5)
+    stack = rep.matrices
+    assert stack is not rep.matrices  # built on every read, not kept
+    stack[1] = 7.0
+    again = GroupRep(name=rep.name, labels=rep.labels, matrices=rep.matrices)
+    assert all(isinstance(e, RowAction) for e in again._elements)
+    assert again.matrices.tobytes() == rep.matrices.tobytes()
+    assert [u.tobytes() for _, u in again.elements()] == [u.tobytes() for u in rep.matrices]
+
+
+def test_an_element_whose_row_action_would_change_its_bits_stays_dense():
+    mixed = np.eye(3)
+    mixed[0, 2] = -0.0  # its row's other zero is +0.0
+    rep = GroupRep(name="G", labels=("E", "M"), matrices=np.stack([np.eye(3), mixed]))
+    assert isinstance(rep._elements[0], RowAction)
+    assert not isinstance(rep._elements[1], RowAction)
+    assert rep.matrices.tobytes() == np.stack([np.eye(3), mixed]).tobytes()
+
+
+def test_from_row_actions_rejects_malformed_actions():
+    labels = ("E", "P")
+    cols = np.array([[0, 1], [1, 0]])
+    GroupRep.from_row_actions("Z2", labels, cols, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="one shape"):
+        GroupRep.from_row_actions("Z2", labels, cols, np.ones((2, 3)))
+    with pytest.raises(ValueError, match="one shape"):
+        GroupRep.from_row_actions("Z2", labels, cols, np.ones((2, 2)), zeros=np.zeros(2))
+    with pytest.raises(ValueError, match=r"columns must lie in \[0, 2\)"):
+        GroupRep.from_row_actions("Z2", labels, [[0, 1], [2, 0]], np.ones((2, 2)))
+    with pytest.raises(ValueError, match="one label per matrix"):
+        GroupRep.from_row_actions("Z2", ("E",), cols, np.ones((2, 2)))
 
 
 def _random_orthogonal(rng, d):
@@ -312,7 +347,7 @@ def test_conjugated_rep_takes_the_product_and_keeps_the_six_site_labels(lam):
     base = six_site_rep()
     rep = GroupRep(name="C2v", labels=base.labels, matrices=q @ base.matrices @ q.T)
     assert verify_group(rep).passed
-    assert all(action is None for action in rep._actions[1:])
+    assert not any(isinstance(e, RowAction) for e in rep._elements[1:])
     six = six_site_model()
     model = ParametricModel(
         a=SymmetricMatrix(q @ six.a.entries @ q.T), b=SymmetricMatrix(q @ six.b.entries @ q.T)
