@@ -11,9 +11,10 @@ This module locates frontier crossings along tracked branches.  The gap
 between the tracked empty and occupied frontier states changes sign at a
 crossing, and its derivative is the difference of their Hellmann-Feynman
 slopes, so each sign change is refined by Newton steps on the gap inside the
-bracket.  Where a tracked state is degenerate, its branch is followed in the
-basis that diagonalizes dH/dlambda in the degenerate subspace, the basis that
-continues the branches.
+bracket.  Every branch is followed into the Hellmann-Feynman basis of the
+point it reaches, the basis that diagonalizes dH/dlambda in each degenerate
+subspace there and so continues the branches that meet in it; away from
+degeneracies it is the eigensolver's basis.
 
 :func:`ground_state_curve` and :func:`find_crossings` read a sweep once, in order.
 """
@@ -26,8 +27,8 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .hft import RotatedSpectrum, hft_basis, rotated_spectrum
-from .spectral import ParametricModel, TrackingError, track
+from .hft import RotatedSpectrum, _follow, rotated_spectrum
+from .spectral import ParametricModel, TrackingError
 from .symmetry import _labels
 
 BISECTION_WIDTH = 1e-10
@@ -161,35 +162,25 @@ def _branch(
     model: ParametricModel, lam: float, column: np.ndarray, tol: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Energy and eigenvector at lam of the branch whose eigenvector
-    continues the d x 1 ``column``, and all eigenvalues at lam.
-
-    The branch is tracked in the spectrum at lam.  When that match is
-    ambiguous, or lands on a state degenerate within ``tol``, whose raw
-    eigenvector is an arbitrary mixture of the branches that meet there,
-    the branch is tracked again in the same spectrum rotated by
-    :func:`hft_basis`.  Its energy is then the Rayleigh quotient
-    of the rotated column: inside a cluster the rotated columns carry
-    sorted, not per-branch, eigenvalues.
-    """
-    spectrum = model.spectrum(lam)
-    w = spectrum.eigenvalues
+    continues the d x 1 ``column``, tracked by :func:`hftkit.hft._follow`
+    under ``tol``, and all eigenvalues at lam.  The energy is the eigenvalue
+    the column lands on, or its Rayleigh quotient when that level is
+    degenerate within ``tol``: inside a cluster the rotated columns carry
+    sorted, not per-branch, eigenvalues."""
     try:
-        tracked = track(column, spectrum)
-        energy = float(tracked.eigenvalues[0])
-        unresolved = np.count_nonzero(np.abs(w - energy) <= tol) > 1
-    except TrackingError:
-        unresolved = True
-    if unresolved:
-        try:
-            tracked = track(column, hft_basis(spectrum, model.b, tol))
-        except TrackingError as exc:
-            raise TrackingError(
-                f"cannot tell which branch continues the tracked frontier state at "
-                f"lambda={lam!r}, neither in the eigenbasis nor in the "
-                f"Hellmann-Feynman basis there"
-            ) from exc
-        energy = float(np.square(spectrum.eigenvectors.T @ tracked.eigenvectors[:, 0]) @ w)
-    return energy, tracked.eigenvectors[:, 0], w
+        spectrum, tracked = _follow(model, column, lam, tol)
+    except TrackingError as exc:
+        raise TrackingError(
+            f"cannot tell which branch continues the tracked frontier state at "
+            f"lambda={lam!r}: it overlaps two states of the Hellmann-Feynman "
+            f"basis there almost equally"
+        ) from exc
+    w = spectrum.eigenvalues
+    v = tracked.eigenvectors[:, 0]
+    energy = float(tracked.eigenvalues[0])
+    if np.count_nonzero(np.abs(w - energy) <= tol) > 1:
+        energy = float(np.square(spectrum.eigenvectors.T @ v) @ w)
+    return energy, v, w
 
 
 def find_crossings(
@@ -213,19 +204,19 @@ def find_crossings(
     the one before it are held: an interval is searched once its right end
     has been read, unless either end is such a point.
 
-    Where a probe point is degenerate, its eigenvectors are an arbitrary
-    basis of the degenerate subspace, and the branches are followed in the
-    basis that diagonalizes dH/dlambda there; the degeneracy tolerance of
-    an interval is that of its left grid point.  A frontier pair that this
-    basis resolves within the tolerance is a crossing: an avoided crossing
-    whose gap is below the tolerance is located where its Hellmann-Feynman
-    branches cross, whatever the grid.
+    Each branch is followed into the Hellmann-Feynman basis of every probe
+    point, formed with the degeneracy tolerance of the interval's left grid
+    point.  A frontier pair that this basis resolves within the tolerance
+    is a crossing: an avoided crossing whose gap is below the tolerance is
+    located where its Hellmann-Feynman branches cross, whatever the grid.
 
-    A probe at which both frontier states continue into one state raises
-    :class:`TrackingError`: the grid is too coarse to follow them there.  So
-    does a refined crossing whose last probe finds more than n_p - 1 levels
-    below the tracked pair or d - n_p - 1 above it: a tracked state crossed a
-    third level, and the pair that crosses is not the occupation frontier.
+    A probe at which a tracked state overlaps two states of that basis
+    almost equally raises :class:`TrackingError`, and so does one at which
+    both frontier states continue into one state: the grid is too coarse to
+    follow them there.  So does a refined crossing whose last probe finds
+    more than n_p - 1 levels below the tracked pair or d - n_p - 1 above
+    it: a tracked state crossed a third level, and the pair that crosses is
+    not the occupation frontier.
     A grid interval that holds two frontier crossings can hide one or both
     of them from the sign test; a finer grid finds them.
     """

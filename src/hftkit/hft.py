@@ -7,7 +7,8 @@ dH/dlambda carries the branch slopes.  This module builds that basis (a
 :class:`RotatedSpectrum` keeps it alone), reports per-state slope residuals
 against an independent reference, quantifies the averaging error made by any
 other degenerate combination, and verifies the off-diagonal companion
-identity and two-sided continuity.
+identity and two-sided continuity.  Every branch followed to another lambda,
+in hft and fermi alike, continues into this basis there (:func:`_follow`).
 """
 
 from __future__ import annotations
@@ -312,14 +313,26 @@ def _oracle_references(
     return refs
 
 
-def _track_stencil(model: ParametricModel, basis: np.ndarray, lam: float, x: float) -> Spectrum:
-    """The spectrum at the stencil point x, its columns continuing the
-    rotated ``basis`` at the centre lam."""
+def _follow(
+    model: ParametricModel, reference: np.ndarray, lam: float, tol: float
+) -> tuple[Spectrum, Spectrum]:
+    """The model's spectrum at lam, and the branches continuing the d x k
+    ``reference`` columns there: the columns :func:`track` matches in the
+    spectrum's :func:`hft_basis` under ``tol``, the degeneracy tolerance of
+    the point they come from.  At a degeneracy only that basis continues the
+    branches that meet there; the eigensolver's is an arbitrary one."""
+    spectrum = model.spectrum(lam)
+    return spectrum, track(reference, hft_basis(spectrum, model.b, tol))
+
+
+def _track_stencil(model: ParametricModel, rot: RotatedSpectrum, x: float) -> Spectrum:
+    """The Hellmann-Feynman basis at the stencil point x, its columns
+    continuing the rotated basis of ``rot`` (see :func:`_follow`)."""
     try:
-        return track(basis, model.spectrum(x))
+        return _follow(model, rot.eigenvectors, x, rot.tol)[1]
     except TrackingError as exc:
         raise TrackingError(
-            f"cannot follow the rotated basis at lambda={lam!r} to the stencil "
+            f"cannot follow the rotated basis at lambda={rot.lam!r} to the stencil "
             f"point lambda={x!r}: a rotated state overlaps two states there "
             f"almost equally"
         ) from exc
@@ -330,9 +343,8 @@ def _tracked_references(
 ) -> np.ndarray:
     """Richardson central difference of eigenvalue branches, each branch
     identified by overlap with the rotated basis at lam."""
-    vectors = rot.eigenvectors
     step = _fit_step(model, lam, h, 1.0, (+1, -1))
-    return fd_derivative(lambda x: _track_stencil(model, vectors, lam, x).eigenvalues, lam, step)
+    return fd_derivative(lambda x: _track_stencil(model, rot, x).eigenvalues, lam, step)
 
 
 def hft_report(
@@ -382,7 +394,7 @@ def offdiag_identity_residual(
     element = float(vectors[:, m] @ hp.entries @ vectors[:, n])
     if rot.cluster_of(m) is rot.cluster_of(n):
         return abs(element)
-    plus, minus = (_track_stencil(model, vectors, lam, x) for x in (lam + h, lam - h))
+    plus, minus = (_track_stencil(model, rot, x) for x in (lam + h, lam - h))
     dpsi_n = (plus.eigenvectors[:, n] - minus.eigenvectors[:, n]) / (2.0 * h)
     gap = float(rot.eigenvalues[n] - rot.eigenvalues[m])
     return abs(element - gap * float(vectors[:, m] @ dpsi_n))
@@ -399,9 +411,9 @@ def continuity_overlap(
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    vectors = rotated_spectrum(model, lam0, tol).eigenvectors
+    rot = rotated_spectrum(model, lam0, tol)
     worst = math.inf
     for x in (lam0 - delta, lam0 + delta):
-        tracked = _track_stencil(model, vectors, lam0, x).eigenvectors
-        worst = min(worst, float(np.abs(np.sum(vectors * tracked, axis=0)).min()))
+        tracked = _track_stencil(model, rot, x).eigenvectors
+        worst = min(worst, float(np.abs(np.sum(rot.eigenvectors * tracked, axis=0)).min()))
     return worst

@@ -234,7 +234,7 @@ def commutant_residual(rep: GroupRep, m: SymmetricMatrix) -> float:
     return worst
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacterTable:
     """Per-irrep characters of an abelian group, one row per irrep.
 
@@ -290,28 +290,26 @@ def _check_compatible(rep: GroupRep, table: CharacterTable) -> None:
 
 
 def _labels(
-    columns: np.ndarray, rep: GroupRep, table: CharacterTable, tol: float = CLASSIFY_TOL
+    columns: np.ndarray, rep: GroupRep, table: CharacterTable
 ) -> tuple[np.ndarray, list[Optional[str]]]:
     """Measured characters of every column and the irrep each matches
-    within tol, None where a column matches no row."""
+    within ``CLASSIFY_TOL``, None where a column matches no row."""
     _check_compatible(rep, table)
     chi = _measured_characters(columns, rep)
     labels: list[Optional[str]] = [None] * chi.shape[1]
     for label, row in table.rows.items():
-        fits = np.abs(chi - np.asarray(row)[:, None]).max(axis=0) <= tol
+        fits = np.abs(chi - np.asarray(row)[:, None]).max(axis=0) <= CLASSIFY_TOL
         for k in np.flatnonzero(fits):
             if labels[k] is None:
                 labels[k] = label
     return chi, labels
 
 
-def classify_vector(
-    v: np.ndarray, rep: GroupRep, table: CharacterTable, tol: float = CLASSIFY_TOL
-) -> IrrepLabel:
+def classify_vector(v: np.ndarray, rep: GroupRep, table: CharacterTable) -> IrrepLabel:
     """Assign an irrep to one unit vector by matching <v|U(g)|v> against the
     table rows.  Raises :class:`ClassificationError` when nothing matches,
     which is the signature of a symmetry-mixed vector."""
-    return classify(np.asarray(v, dtype=float)[:, None], rep, table, tol)[0]
+    return classify(np.asarray(v, dtype=float)[:, None], rep, table)[0]
 
 
 VectorSet = Union[Spectrum, np.ndarray, Sequence[np.ndarray]]
@@ -326,19 +324,17 @@ def _columns_of(states: VectorSet) -> np.ndarray:
     return arr
 
 
-def classify(
-    states: VectorSet, rep: GroupRep, table: CharacterTable, tol: float = CLASSIFY_TOL
-) -> list[IrrepLabel]:
+def classify(states: VectorSet, rep: GroupRep, table: CharacterTable) -> list[IrrepLabel]:
     """Classify each eigenvector column.  For degenerate clusters the
     supplied basis must already be the derivative-consistent (or
     irrep-projected) one, otherwise mixed states will fail to classify."""
-    chi, labels = _labels(_columns_of(states), rep, table, tol)
+    chi, labels = _labels(_columns_of(states), rep, table)
     for k, label in enumerate(labels):
         if label is None:
             pretty = ", ".join(f"{c:+.4f}" for c in chi[:, k])
             raise ClassificationError(
-                f"characters ({pretty}) match no {table.group_name} irrep within {tol:g}; "
-                f"the vector mixes different symmetries"
+                f"characters ({pretty}) match no {table.group_name} irrep within "
+                f"{CLASSIFY_TOL:g}; the vector mixes different symmetries"
             )
     return [IrrepLabel(label=label, characters=table.rows[label]) for label in labels]
 

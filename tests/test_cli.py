@@ -19,6 +19,7 @@ from hftkit.cli import (
 from hftkit.fermi import FillingSpec, cusp_report
 from hftkit.models import oscillator_model
 from hftkit.spectral import ParametricModel, SymmetricMatrix
+from hftkit.svgplot import line_plot
 from hftkit.symmetry import CharacterTable, GroupRep
 
 
@@ -60,6 +61,16 @@ def test_csv_full_precision_format():
     assert edge.render().splitlines()[1:] == [
         ",".join(format(float(v), ".17g") for v in row) for row in rows
     ]
+
+
+def test_csv_parse_skips_blank_lines_and_keeps_comments_in_order():
+    text = "\n# first\nx,y\n\n1,2\n   \n# second\n3,4\n"
+    table = CsvTable.parse(text)
+    assert table.header == ("x", "y")
+    assert table.rows == [(1.0, 2.0), (3.0, 4.0)]
+    assert table.comments == ["# first", "# second"]
+    with pytest.raises(ValueError, match="no header line found"):
+        CsvTable.parse("\n# only a comment\n\n")
 
 
 def test_csv_round_trip_is_byte_identical():
@@ -280,6 +291,17 @@ def test_fermi_svg_pair_is_wellformed_and_deterministic():
     slope_root = ET.fromstring(first["plot_slope.svg"])
     circles = [el for el in slope_root.iter() if el.tag.endswith("circle")]
     assert len(circles) == 2
+
+
+def test_line_plot_draws_a_flat_curve_and_needs_two_samples():
+    doc = line_plot([0.0, 1.0, 2.0], [3.0, 3.0, 3.0])
+    root = ET.fromstring(doc)
+    (polyline,) = [el for el in root.iter() if el.tag.endswith("polyline")]
+    ys = {point.split(",")[1] for point in polyline.attrib["points"].split()}
+    assert ys == {"290.00"}  # halfway between the plot frame's top (40) and bottom (540)
+    for xs, ys in (([0.0], [1.0]), ([], []), ([0.0, 1.0], [1.0])):
+        with pytest.raises(ValueError, match="need two or more"):
+            line_plot(xs, ys)
 
 
 # --- golden fermi output ---
@@ -546,6 +568,16 @@ def test_check_tol_deg_flag_controls_clustering():
     code, text = run_check(six_site_scan_config(tol_deg=1e-30), 1.0)
     assert code == 1
     assert "FAIL" in text
+
+
+def test_check_reports_each_boundary_warning_before_the_verdict():
+    # a tolerance of 0.2 against gaps of 1 and 2 puts every cluster
+    # boundary of the six-site spectrum at 1.0 within 10x of it
+    code, text = run_check(six_site_scan_config(tol_deg=0.2), 1.0)
+    lines = text.splitlines()
+    assert code == 0 and len(lines) == 1 + 6 + 6 + 1  # title, states, warnings, verdict
+    assert all(line.startswith("warning: cluster boundary ") for line in lines[7:13])
+    assert lines[13].endswith(": PASS")
 
 
 def test_check_oscillator_shells_pass():

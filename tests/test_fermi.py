@@ -15,6 +15,7 @@ from hftkit.fermi import (
     BISECTION_WIDTH,
     FillingSpec,
     _frontier_cluster,
+    _refine,
     cusp_report,
     find_crossings,
     ground_energy,
@@ -161,6 +162,8 @@ def test_find_crossings_validates_window():
         crossings_on(six_site_model(), np.linspace(0.2, 2.0, 1), TWO)
     with pytest.raises(ValueError):
         crossings_on(six_site_model(), np.linspace(2.0, 0.2, 10), TWO)
+    with pytest.raises(ValueError, match="need an ascending grid"):
+        crossings_on(six_site_model(), [0.5, 0.5], TWO)
 
 
 def test_cusp_report_values():
@@ -427,6 +430,37 @@ def test_branch_continues_through_degenerate_shells_in_the_hf_basis():
         assert abs(energy - at.eigenvalues[k]) <= 1e-12
         assert np.abs(at.cluster_slopes[c.start : c.stop] - slope).min() <= 1e-12
         assert abs(slope - left.cluster_slopes[k]) <= 0.1
+
+
+def test_a_branch_no_basis_can_place_is_an_error_at_its_probe():
+    # levels +-1e-7 at lambda=0, a gap above the degeneracy tolerance, so the
+    # occupied state there is (1, -1)/sqrt(2); at lambda=1 the states are
+    # the axes, and it overlaps both of them equally
+    model = ParametricModel(
+        a=SymmetricMatrix([[0.0, 1e-7], [1e-7, 0.0]]),
+        b=SymmetricMatrix([[1.0, 0.0], [0.0, -1.0]]),
+    )
+    with pytest.raises(TrackingError) as info:
+        find_crossings(model, sweep(model, [0.0, 1.0]), FillingSpec(1))
+    assert str(info.value) == (
+        "cannot tell which branch continues the tracked frontier state at lambda=1.0: "
+        "it overlaps two states of the Hellmann-Feynman basis there almost equally"
+    )
+
+
+def test_refine_bisects_where_the_gap_derivative_vanishes():
+    # a probe that reports no slope leaves Newton no step, so every probe
+    # is the midpoint of the bracket until it is BISECTION_WIDTH wide
+    probed = []
+
+    def probe(x):
+        probed.append(x)
+        return 0.3 - x, 0.0
+
+    got = _refine(probe, 0.0, 1.0, (0.3, 0.0), (-0.7, 0.0))
+    assert probed[:3] == [0.5, 0.25, 0.375]
+    assert len(probed) == math.ceil(math.log2(1.0 / BISECTION_WIDTH))
+    assert abs(got - 0.3) <= 0.5 * BISECTION_WIDTH
 
 
 def test_tracked_pair_off_the_frontier_is_an_error_not_a_crossing(capsys):

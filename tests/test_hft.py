@@ -387,6 +387,20 @@ def test_stencils_that_lose_the_rotated_basis_raise_one_error():
     assert hft_report(model, 0.0).worst_residual <= 1e-12  # the default step follows
 
 
+def test_stencils_that_land_on_an_exact_crossing_continue_in_its_hf_basis():
+    # H = (lambda - 0.3) B with B's eigenvectors at 45 degrees to the axes:
+    # at lambda=0.3 H vanishes and the eigensolver returns the axes, each at
+    # overlap 1/sqrt(2) with both branches; only the basis that diagonalizes
+    # B there continues them
+    c = math.sqrt(0.5)
+    q = np.array([[c, -c], [c, c]])
+    b = q @ np.diag([1.0, -1.0]) @ q.T
+    model = ParametricModel(a=SymmetricMatrix(-0.3 * b), b=SymmetricMatrix(b))
+    assert hft_report(model, 0.2999).worst_residual <= 1e-10
+    assert offdiag_identity_residual(model, 0.2999, 0, 1) <= 1e-10
+    assert continuity_overlap(model, 0.299, 1e-3) >= 0.9999
+
+
 # --- the stored rotated basis ---
 
 

@@ -28,7 +28,7 @@ from hftkit.spectral import (
     match_columns,
     track,
 )
-from hftkit.symmetry import verify_group
+from hftkit.symmetry import c2v_character_table, verify_group
 
 
 def six_site_closed_forms(lam):
@@ -583,11 +583,11 @@ def test_affine_rejects_overflow_and_mismatched_dimensions():
         SymmetricMatrix.affine(a, 1.0, SymmetricMatrix(np.eye(3)))
 
 
-# --- records holding arrays compare by identity ---
+# --- records holding arrays or dicts compare by identity ---
 
 
 def _records():
-    """One factory per frozen record that holds arrays."""
+    """One factory per frozen record that holds arrays or a dict."""
     six = six_site_model()
     return {
         "SymmetricMatrix": lambda: six_site_hamiltonian(0.5),
@@ -596,6 +596,7 @@ def _records():
         "RotatedSpectrum": lambda: rotated_spectrum(six, 0.5),
         "GroupRep": six_site_rep,
         "GroupVerification": lambda: verify_group(six_site_rep()),
+        "CharacterTable": c2v_character_table,
         "GroundStateCurve": lambda: ground_state_curve(
             six, sweep(six, np.linspace(0.5, 1.5, 3)), FillingSpec(2)),
     }

@@ -411,3 +411,24 @@ def test_loaders_reject_garbage(tmp_path):
     ragged.write_text("group x\nelement E\n1 0\n0 1 0\n", encoding="ascii")
     with pytest.raises(ValueError):
         load_group_rep(ragged)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("group x\nelement\n1\n", "malformed element line: 'element'"),
+    ("group x\nelement E extra\n1\n", "malformed element line: 'element E extra'"),
+    ("group x\n1 0\n0 1\n", "matrix row before any 'element' line"),
+    ("group x\nelement E\n1 0\n0 1\nelement P\n0 1 0\n1 0 0\n",
+     r"element 'P' has shape \(2, 3\), expected \(2, 2\)"),
+    ("group x\nelement E\n1 0 0\n0 1 0\n", r"element 'E' has shape \(2, 3\), expected \(2, 2\)"),
+])
+def test_load_group_rep_names_what_is_wrong(tmp_path, text, message):
+    path = tmp_path / "bad.grp"
+    path.write_text(text, encoding="ascii")
+    with pytest.raises(ValueError, match=message):
+        load_group_rep(path)
+
+
+def test_group_rep_rejects_a_stack_of_non_square_matrices():
+    for stack in (np.zeros((1, 2, 3)), np.eye(2)):
+        with pytest.raises(ValueError, match="matrices must be a stack of square arrays"):
+            GroupRep("x", ("E",), stack)
