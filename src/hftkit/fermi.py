@@ -163,24 +163,17 @@ def _branch(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Energy and eigenvector at lam of the branch whose eigenvector
     continues the d x 1 ``column``, tracked by :func:`hftkit.hft._follow`
-    under ``tol``, and all eigenvalues at lam.  The energy is the eigenvalue
-    the column lands on, or its Rayleigh quotient when that level is
-    degenerate within ``tol``: inside a cluster the rotated columns carry
-    sorted, not per-branch, eigenvalues."""
+    under ``tol``, and all eigenvalues at lam."""
+    spectrum = model.spectrum(lam)
     try:
-        spectrum, tracked = _follow(model, column, lam, tol)
+        tracked = _follow(spectrum, model.b, column, tol)
     except TrackingError as exc:
         raise TrackingError(
             f"cannot tell which branch continues the tracked frontier state at "
             f"lambda={lam!r}: it overlaps two states of the Hellmann-Feynman "
             f"basis there almost equally"
         ) from exc
-    w = spectrum.eigenvalues
-    v = tracked.eigenvectors[:, 0]
-    energy = float(tracked.eigenvalues[0])
-    if np.count_nonzero(np.abs(w - energy) <= tol) > 1:
-        energy = float(np.square(spectrum.eigenvectors.T @ v) @ w)
-    return energy, v, w
+    return float(tracked.eigenvalues[0]), tracked.eigenvectors[:, 0], spectrum.eigenvalues
 
 
 def find_crossings(

@@ -313,23 +313,29 @@ def _oracle_references(
     return refs
 
 
-def _follow(
-    model: ParametricModel, reference: np.ndarray, lam: float, tol: float
-) -> tuple[Spectrum, Spectrum]:
-    """The model's spectrum at lam, and the branches continuing the d x k
-    ``reference`` columns there: the columns :func:`track` matches in the
-    spectrum's :func:`hft_basis` under ``tol``, the degeneracy tolerance of
-    the point they come from.  At a degeneracy only that basis continues the
-    branches that meet there; the eigensolver's is an arbitrary one."""
-    spectrum = model.spectrum(lam)
-    return spectrum, track(reference, hft_basis(spectrum, model.b, tol))
+def _follow(spectrum: Spectrum, hp: SymmetricMatrix, columns: np.ndarray, tol: float) -> Spectrum:
+    """The branches continuing the d x k reference ``columns`` in
+    ``spectrum``: the columns :func:`track` matches in its
+    :func:`hft_basis` under ``tol``, the degeneracy tolerance of the point
+    they come from.  At a degeneracy only that basis continues the branches
+    that meet there; the eigensolver's is an arbitrary one.  Each branch
+    carries the eigenvalue of the column it lands on, or that column's
+    Rayleigh quotient where the level is degenerate within ``tol``: inside
+    a cluster the rotated columns keep sorted, not per-branch, eigenvalues."""
+    tracked = track(columns, hft_basis(spectrum, hp, tol))
+    w, vectors = spectrum.eigenvalues, spectrum.eigenvectors
+    energies = tracked.eigenvalues  # a copy of its own, made by track
+    crowded = np.count_nonzero(np.abs(w - energies[:, None]) <= tol, axis=1) > 1
+    for j in np.flatnonzero(crowded):
+        energies[j] = np.square(vectors.T @ tracked.eigenvectors[:, j]) @ w
+    return tracked
 
 
 def _track_stencil(model: ParametricModel, rot: RotatedSpectrum, x: float) -> Spectrum:
-    """The Hellmann-Feynman basis at the stencil point x, its columns
-    continuing the rotated basis of ``rot`` (see :func:`_follow`)."""
+    """The branches at the stencil point x that continue the rotated basis
+    of ``rot`` (see :func:`_follow`)."""
     try:
-        return _follow(model, rot.eigenvectors, x, rot.tol)[1]
+        return _follow(model.spectrum(x), model.b, rot.eigenvectors, rot.tol)
     except TrackingError as exc:
         raise TrackingError(
             f"cannot follow the rotated basis at lambda={rot.lam!r} to the stencil "

@@ -20,6 +20,7 @@ from hftkit.hft import (
 )
 from hftkit.models import oscillator_model, six_site_model
 from hftkit.spectral import (
+    DEFAULT_FD_STEP,
     ParametricModel,
     Spectrum,
     SymmetricMatrix,
@@ -270,6 +271,18 @@ def test_report_without_oracle_uses_tracked_branches():
     # at the crossing the tracked branches pass smoothly through, so the
     # multiset of one-sided slopes is reproduced state by state
     assert hft_report(plain, 1.0).worst_residual <= 1e-5
+    # levels lam and 0.1 form one cluster under tol=0.2, where the rotated
+    # columns keep the sorted eigenvalues but swap order: each branch takes
+    # its column's Rayleigh quotient, not the sorted level it lands on
+    model = ParametricModel(
+        a=SymmetricMatrix(np.diag([0.0, 0.1])), b=SymmetricMatrix(np.diag([1.0, 0.0]))
+    )
+    report = hft_report(model, 0.05, tol=0.2)
+    assert [r.lhs for r in report.records] == [0.0, 1.0]
+    assert report.worst_residual <= 1e-6
+    # the same swap under the default tol: the stencil point lam + h/2
+    # lies 5e-9 below the crossing at 0.1, within tol of it
+    assert hft_report(model, 0.1 - DEFAULT_FD_STEP / 2 - 5e-9).worst_residual <= 1e-10
 
 
 def _counting_oracle(model):
