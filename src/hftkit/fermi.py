@@ -223,11 +223,9 @@ def find_crossings(
     for count, rot in enumerate(points, 1):
         lam = float(rot.lam)
         hit = _frontier_cluster(rot, n_p) is not None
-        if count == 1:
-            first = lam
-        elif lam < prev.lam:
+        if prev is not None and lam <= prev.lam:
             raise ValueError("need an ascending grid")
-        elif not (hit or prev_hit):
+        if prev is not None and not (hit or prev_hit):
             crossing = _interval_crossing(model, prev, lam, n_p)
             if crossing is not None:
                 crossings.append(crossing)
@@ -236,8 +234,6 @@ def find_crossings(
         prev, prev_hit = rot, hit
     if count < 2:
         raise ValueError("need at least 2 grid points")
-    if not first < prev.lam:
-        raise ValueError("need an ascending grid")
     return sorted(crossings)
 
 
@@ -246,7 +242,7 @@ def _interval_crossing(
 ) -> Optional[float]:
     """The frontier crossing between the grid point ``rot`` and the next
     grid point ``hi``, or None when the tracked gap keeps its sign there."""
-    b = model.b.entries
+    b = model.b
     vectors = rot.eigenvectors
     vec_occ = vectors[:, n_p - 1 : n_p]
     vec_emp = vectors[:, n_p : n_p + 1]
@@ -263,7 +259,7 @@ def _interval_crossing(
                 f"lambda={lam!r}; a finer grid may tell them apart"
             )
         last[:] = lam, *sorted((e_occ, e_emp)), w
-        return e_emp - e_occ, float(v_emp @ b @ v_emp - v_occ @ b @ v_occ)
+        return e_emp - e_occ, float(b.vecmat(v_emp) @ v_emp - b.vecmat(v_occ) @ v_occ)
 
     lo = float(rot.lam)
     g_hi, dg_hi = probe(hi)

@@ -70,11 +70,11 @@ def cluster_degeneracies(eigenvalues: np.ndarray, tol: float) -> list[range]:
 def expectation(hp: SymmetricMatrix, v: np.ndarray) -> float:
     """<v|hp|v> for a unit vector v."""
     v = np.asarray(v, dtype=float)
-    # ndarray.dot gives the bits of @ (both reach BLAS gemv and dot) at a
-    # lower dispatch cost; tests/test_hft.py compares the two bit for bit.
+    # ndarray.dot gives the bits of @ (both reach BLAS dot) at a lower
+    # dispatch cost; tests/test_hft.py compares the two bit for bit.
     if abs(math.sqrt(v.dot(v)) - 1.0) > UNIT_NORM_TOL:
         raise ValueError("expectation requires a unit vector")
-    return float(v.dot(hp.entries).dot(v))
+    return float(hp.vecmat(v).dot(v))
 
 
 def mixed_slope(cluster_slopes: np.ndarray, coeffs: np.ndarray) -> float:

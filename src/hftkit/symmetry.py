@@ -405,7 +405,13 @@ def load_group_rep(path) -> GroupRep:
             else:
                 if not blocks:
                     raise ValueError("matrix row before any 'element' line")
-                blocks[-1].append([float(x) for x in fields])
+                block = blocks[-1]
+                if block and len(fields) != len(block[0]):
+                    raise ValueError(
+                        f"element {labels[-1]!r} row {len(block) + 1} has {len(fields)} "
+                        f"entries, row 1 has {len(block[0])}"
+                    )
+                block.append([float(x) for x in fields])
     if not blocks:
         raise ValueError(f"no elements found in {path}")
     mats = [np.array(b, dtype=float) for b in blocks]

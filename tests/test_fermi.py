@@ -166,6 +166,16 @@ def test_find_crossings_validates_window():
         crossings_on(six_site_model(), [0.5, 0.5], TWO)
 
 
+def test_find_crossings_refuses_a_repeated_point_as_it_is_read(monkeypatch):
+    # the crossing at 1.0 would otherwise be reported once per copy
+    with pytest.raises(ValueError, match="need an ascending grid"):
+        crossings_on(six_site_model(), [0.5, 1.0, 1.0, 1.5], TWO)
+    lambdas = _count_spectra(monkeypatch)
+    with pytest.raises(ValueError, match="need an ascending grid"):
+        crossings_on(six_site_model(), [0.5, 0.5], TWO)
+    assert lambdas == [0.5, 0.5]  # the two grid points, no grid-end probe
+
+
 def test_cusp_report_values():
     report = cusp_report(six_site_model(), 1.0, TWO)
     assert abs(report.slope_left - (-1.0 / 3.0)) <= 1e-10

@@ -131,6 +131,22 @@ def test_expectation_is_bitwise_the_matmul_product(dim):
         assert expectation(hp, v) == float(v @ hp.entries @ v)
 
 
+@pytest.mark.parametrize("n_max", [12, 18, 20, 32])
+def test_expectation_of_the_oscillator_coupling_is_the_matmul_product(n_max):
+    # B holds four nonzeros a row: at nmax 12 and 18 (d = 91, 190) the
+    # product is the dense one, bit for bit; at 20 and 32 (d = 231, 561) it
+    # reads the nonzeros alone, so it agrees up to rounding.
+    model = oscillator_model(n_max=n_max)
+    hp = model.derivative(0.3)
+    vectors = model.spectrum(0.3).eigenvectors
+    for v in vectors.T[:: max(1, model.dim // 40)]:
+        want = float(v @ hp.entries @ v)
+        if n_max <= 18:
+            assert expectation(hp, v) == want
+        else:
+            assert abs(expectation(hp, v) - want) <= 1e-13
+
+
 def test_mixed_slope_six_site_cluster():
     r = 1.0 / math.sqrt(2.0)
     got = mixed_slope(np.array([1.0 / 3.0, -1.0]), np.array([r, r]))

@@ -1,6 +1,7 @@
 """The package keeps one path for each step of its loop: one eigensolver
-call site, one column matcher and one branch-tracking rule.  These tests
-read the source of ``hftkit`` and fail when a second path appears."""
+call site, one column matcher, one branch-tracking rule and one owner of
+the sparse form of a matrix.  These tests read the source of ``hftkit`` and
+fail when a second path appears."""
 
 import ast
 from pathlib import Path
@@ -83,3 +84,16 @@ def test_columns_are_matched_in_track_and_run_scan_only():
 
 def test_branches_are_tracked_through_the_one_hf_basis_rule_only():
     assert _callers(lambda parts: parts[-1] == "track") == {("hft", "_follow")}
+
+
+def test_the_row_form_of_a_matrix_is_read_in_spectral_only():
+    # SymmetricMatrix.vecmat picks dense or row form; a reader elsewhere
+    # would make that choice a second time.
+    readers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name == "_row_form" or (isinstance(node, ast.Constant) and node.value == "_row_form"):
+                readers.add(path.stem)
+    assert readers == {"spectral"}

@@ -583,6 +583,91 @@ def test_affine_rejects_overflow_and_mismatched_dimensions():
         SymmetricMatrix.affine(a, 1.0, SymmetricMatrix(np.eye(3)))
 
 
+# --- the vector product v @ M ---
+
+
+def _unit_vectors(d, seed=0):
+    """Three random unit vectors and every third eigenvector column of a
+    random symmetric matrix (strided views, as the rotation passes them)."""
+    rng = np.random.default_rng(seed)
+    random = rng.standard_normal((3, d))
+    a = rng.standard_normal((d, d))
+    return [*(random / np.linalg.norm(random, axis=1)[:, None]),
+            *np.linalg.eigh(a + a.T)[1].T[::3]]
+
+
+@pytest.mark.parametrize("n_max", [None, 12, 18])
+def test_vecmat_keeps_the_dense_product_bit_for_bit(n_max):
+    # six-site (d = 6), oscillator d = 91, 190: the widest row of B (1 or 4
+    # nonzeros) is above d / 48
+    b = (six_site_model() if n_max is None else oscillator_model(n_max=n_max)).b
+    for v in _unit_vectors(b.dim):
+        assert np.array_equal(b.vecmat(v), v @ b.entries)
+    assert b._row_form is None
+
+
+@pytest.mark.parametrize("n_max", [20, 32])
+def test_vecmat_reads_the_nonzeros_of_a_row_sparse_b(n_max):
+    # d = 231, 561: four nonzeros a row, at most d / 48
+    b = oscillator_model(n_max=n_max).b
+    for v in _unit_vectors(b.dim):
+        assert np.abs(b.vecmat(v) - v @ b.entries).max() <= 1e-13
+        assert abs(float(b.vecmat(v) @ v) - float(v @ b.entries @ v)) <= 1e-13
+    cols, vals = b._row_form
+    assert cols.shape == vals.shape == (b.dim, 4)
+    assert not cols.flags.writeable and not vals.flags.writeable
+
+
+@pytest.mark.parametrize("d", [1, 6, 200])
+def test_vecmat_of_a_zero_matrix_is_zero(d):
+    m = SymmetricMatrix(np.zeros((d, d)))
+    for v in _unit_vectors(d):
+        assert not m.vecmat(v).any()
+        assert float(m.vecmat(v) @ v) == 0.0
+
+
+def test_vecmat_of_an_arrowhead_matrix_stays_dense():
+    # one full row makes the widest row d wide, however sparse the rest
+    d = 200
+    a = np.diag(np.arange(1.0, d + 1.0))
+    a[0, :] = a[:, 0] = 0.5
+    m = SymmetricMatrix(a)
+    for v in _unit_vectors(d):
+        assert np.array_equal(m.vecmat(v), v @ m.entries)
+    assert m._row_form is None
+
+
+def test_vecmat_counts_negative_zeros_as_zeros():
+    # a tridiagonal matrix padded with -0.0: three nonzeros a row, d / 48 = 4
+    d = 192
+    a = np.full((d, d), -0.0)
+    a[np.arange(d), np.arange(d)] = 2.0
+    a[np.arange(d - 1), np.arange(1, d)] = a[np.arange(1, d), np.arange(d - 1)] = -1.0
+    m = SymmetricMatrix(a)
+    for v in _unit_vectors(d):
+        assert np.abs(m.vecmat(v) - v @ m.entries).max() <= 1e-13
+    assert m._row_form[0].shape == (d, 3)
+
+
+def test_vecmat_builds_the_row_form_once_per_matrix(monkeypatch):
+    calls = []
+    original = np.nonzero
+
+    def counting(a):
+        calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(np, "nonzero", counting)
+    sparse, dense = oscillator_model(n_max=20).b, oscillator_model(n_max=12).b
+    v_sparse, v_dense = _unit_vectors(sparse.dim)[0], _unit_vectors(dense.dim)[0]
+    first = sparse.vecmat(v_sparse)
+    for _ in range(3):
+        assert np.array_equal(sparse.vecmat(v_sparse), first)
+        dense.vecmat(v_dense)
+    assert calls == [(231, 231), (91, 91)]
+    assert sparse._row_form is sparse._row_form
+
+
 # --- records holding arrays or dicts compare by identity ---
 
 

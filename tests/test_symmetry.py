@@ -420,6 +420,7 @@ def test_loaders_reject_garbage(tmp_path):
     ("group x\nelement E\n1 0\n0 1\nelement P\n0 1 0\n1 0 0\n",
      r"element 'P' has shape \(2, 3\), expected \(2, 2\)"),
     ("group x\nelement E\n1 0 0\n0 1 0\n", r"element 'E' has shape \(2, 3\), expected \(2, 2\)"),
+    ("group x\nelement E\n1 0\n0 1 0\n", "element 'E' row 2 has 3 entries, row 1 has 2"),
 ])
 def test_load_group_rep_names_what_is_wrong(tmp_path, text, message):
     path = tmp_path / "bad.grp"
