@@ -228,7 +228,7 @@ def run_classify(config: ScanConfig, lam: float) -> str:
     model = config.build()
     if model.symmetry is None or model.character_table is None:
         raise ValueError(f"model {model.name!r} carries no symmetry representation")
-    basis = hft_basis(model.spectrum(lam), model.derivative(lam), config.tol_deg)
+    basis = hft_basis(model.spectrum(lam), model.b, config.tol_deg)
     _, labels = _labels(basis.eigenvectors, model.symmetry, model.character_table)
     lines = [
         f"{k} {_fmt(e)} {label or 'MIXED'}"

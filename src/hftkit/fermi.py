@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .hft import RotatedSpectrum, _follow, rotated_spectrum
+from .hft import RotatedSpectrum, _follow, expectation, rotated_spectrum
 from .spectral import ParametricModel, TrackingError
 from .symmetry import _labels
 
@@ -242,7 +242,6 @@ def _interval_crossing(
 ) -> Optional[float]:
     """The frontier crossing between the grid point ``rot`` and the next
     grid point ``hi``, or None when the tracked gap keeps its sign there."""
-    b = model.b
     vectors = rot.eigenvectors
     vec_occ = vectors[:, n_p - 1 : n_p]
     vec_emp = vectors[:, n_p : n_p + 1]
@@ -259,7 +258,7 @@ def _interval_crossing(
                 f"lambda={lam!r}; a finer grid may tell them apart"
             )
         last[:] = lam, *sorted((e_occ, e_emp)), w
-        return e_emp - e_occ, float(b.vecmat(v_emp) @ v_emp - b.vecmat(v_occ) @ v_occ)
+        return e_emp - e_occ, expectation(model.b, v_emp) - expectation(model.b, v_occ)
 
     lo = float(rot.lam)
     g_hi, dg_hi = probe(hi)

@@ -149,7 +149,7 @@ def _rotate_clusters(
     for c in clusters:
         if len(c) > 1:
             columns = vectors[:, c.start : c.stop]
-            sub = eigh(SymmetricMatrix(columns.T @ hp.entries @ columns))
+            sub = eigh(SymmetricMatrix(hp.vecmat(columns.T) @ columns))
             rotated[:, c.start : c.stop] = columns @ sub.eigenvectors
             slopes[c.start : c.stop] = sub.eigenvalues
     rotated.flags.writeable = False
@@ -213,7 +213,7 @@ def rotated_spectrum(
     model: ParametricModel, lam: float, tol: Optional[float] = None
 ) -> RotatedSpectrum:
     """Diagonalize the model at lam and apply the cluster rotation."""
-    return hft_consistent_basis(model.spectrum(lam), model.derivative(lam), tol)
+    return hft_consistent_basis(model.spectrum(lam), model.b, tol)
 
 
 def sweep(
@@ -389,15 +389,15 @@ def offdiag_identity_residual(
     degenerate pair the identity reduces to the matrix element itself, which
     must vanish in the rotated basis, so ``|<psi_m|H'|psi_n>|`` is returned.
     """
+    _check_step(h)
     if m == n:
         raise ValueError("state indices must differ")
     rot = rotated_spectrum(model, lam)
     d = rot.dim
     if not (0 <= m < d and 0 <= n < d):
         raise ValueError(f"state indices must lie in 0..{d - 1}")
-    hp = model.derivative(lam)
     vectors = rot.eigenvectors
-    element = float(vectors[:, m] @ hp.entries @ vectors[:, n])
+    element = float(model.b.vecmat(vectors[:, m]) @ vectors[:, n])
     if rot.cluster_of(m) is rot.cluster_of(n):
         return abs(element)
     plus, minus = (_track_stencil(model, rot, x) for x in (lam + h, lam - h))

@@ -53,7 +53,7 @@ class SymmetricMatrix:
     Inputs symmetric to within a small relative tolerance are symmetrized,
     anything worse is rejected.  Entries that already equal their mirror
     image are kept bit for bit.  The stored array is read-only.
-    :meth:`vecmat` is its one vector product.
+    :meth:`vecmat` is its one product with vectors.
     """
 
     entries: np.ndarray
@@ -99,19 +99,22 @@ class SymmetricMatrix:
         return float(np.abs(self.entries).max())
 
     def vecmat(self, v: np.ndarray) -> np.ndarray:
-        """v @ M for a float vector v of length d.
+        """v @ M for a float vector v of length d, or for each row of a
+        k x d float array v.
 
         A matrix whose widest row holds at most d / 48 nonzeros is read
         through its row form, built once on first use, and the product is
         equal to ``v @ entries`` up to rounding; any other matrix gives
-        ``v.dot(entries)``, bit for bit ``v @ entries``.
+        ``v @ entries`` bit for bit.
         """
         row_form = self._row_form
         if row_form is None:
-            return v.dot(self.entries)
+            # ndarray.dot has the bits of @ at a lower dispatch cost for a
+            # vector, but not for a stack of strided rows.
+            return v.dot(self.entries) if v.ndim == 1 else v @ self.entries
         cols, vals = row_form
-        # M is symmetric, so row i of M times v is entry i of v @ M.
-        return np.einsum("ij,ij->i", vals, v[cols])
+        # M is symmetric, so row i of M times a vector is entry i of its product.
+        return np.einsum("ij,...ij->...i", vals, v[..., cols])
 
     @cached_property
     def _row_form(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -269,11 +272,6 @@ class ParametricModel:
     def hamiltonian(self, lam: float) -> SymmetricMatrix:
         self._require_domain(lam)
         return SymmetricMatrix.affine(self.a, lam, self.b)
-
-    def derivative(self, lam: float) -> SymmetricMatrix:
-        """dH/dlambda at lam, which is B."""
-        self._require_domain(lam)
-        return self.b
 
     def spectrum(self, lam: float) -> Spectrum:
         s = eigh(self.hamiltonian(lam))

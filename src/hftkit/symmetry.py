@@ -230,7 +230,7 @@ def commutant_residual(rep: GroupRep, m: SymmetricMatrix) -> float:
         raise ValueError("representation and matrix dimensions differ")
     worst = 0.0
     for _, u in rep.elements():
-        worst = max(worst, float(np.abs(u.T @ m.entries @ u - m.entries).max()))
+        worst = max(worst, float(np.abs(m.vecmat(u.T) @ u - m.entries).max()))
     return worst
 
 

@@ -165,7 +165,7 @@ def test_criterion_8_symmetry_machinery():
     model = six_site_model()
     rep = six_site_rep()
     assert verify_group(rep).passed
-    worst = commutant_residual(rep, model.derivative(1.0))
+    worst = commutant_residual(rep, model.b)
     for lam in (0.3, 1.0, 1.7):
         worst = max(worst, commutant_residual(rep, model.hamiltonian(lam)))
     assert worst <= 1e-12
@@ -206,7 +206,7 @@ def test_criterion_10_offdiagonal_identity():
     for lam in (0.5, 1.0, 1.5):
         rot = rotated_spectrum(model, lam)
         labels = [l.label for l in classify(rot, model.symmetry, model.character_table)]
-        hp = model.derivative(lam).entries
+        hp = model.b.entries
         v = rot.eigenvectors
         for m, n in itertools.combinations(range(6), 2):
             worst_all = max(worst_all, offdiag_identity_residual(model, lam, m, n))

@@ -98,7 +98,7 @@ def test_cluster_rejects_nonfinite_tol(tol):
 
 
 def test_expectation_a2_eigenvector_slope():
-    hp = six_site_model().derivative(1.0)
+    hp = six_site_model().b
     assert expectation(hp, V3) == -1.0
 
 
@@ -108,7 +108,7 @@ def test_expectation_zero_matrix():
 
 
 def test_expectation_a1_eigenvector_slope():
-    hp = six_site_model().derivative(0.5)
+    hp = six_site_model().b
     assert abs(expectation(hp, v2_closed_form(0.5)) - 0.41296117202215105) <= 1e-6
 
 
@@ -137,7 +137,7 @@ def test_expectation_of_the_oscillator_coupling_is_the_matmul_product(n_max):
     # product is the dense one, bit for bit; at 20 and 32 (d = 231, 561) it
     # reads the nonzeros alone, so it agrees up to rounding.
     model = oscillator_model(n_max=n_max)
-    hp = model.derivative(0.3)
+    hp = model.b
     vectors = model.spectrum(0.3).eigenvectors
     for v in vectors.T[:: max(1, model.dim // 40)]:
         want = float(v @ hp.entries @ v)
@@ -145,6 +145,20 @@ def test_expectation_of_the_oscillator_coupling_is_the_matmul_product(n_max):
             assert expectation(hp, v) == want
         else:
             assert abs(expectation(hp, v) - want) <= 1e-13
+
+
+@pytest.mark.parametrize("n_max", [20, 32])
+def test_cluster_slopes_through_the_row_form_are_the_dense_block_eigenvalues(n_max):
+    # d = 231, 561: at lambda = 0 every shell is a cluster, and B's block in
+    # it is formed from the row form of B
+    model = oscillator_model(n_max=n_max)
+    rot = rotated_spectrum(model, 0.0)
+    raw = model.spectrum(0.0).eigenvectors
+    assert [len(c) for c in rot.clusters] == list(range(1, n_max + 2))
+    for c in rot.clusters:
+        columns = raw[:, c.start : c.stop]
+        want = np.linalg.eigvalsh(columns.T @ model.b.entries @ columns)
+        assert np.abs(rot.cluster_slopes[c.start : c.stop] - want).max() <= 1e-12
 
 
 def test_mixed_slope_six_site_cluster():
@@ -210,13 +224,13 @@ def test_rotation_identity_without_degeneracies():
     raw = model.spectrum(0.5).eigenvectors
     assert np.array_equal(rot.eigenvectors, raw)
     for k in range(6):
-        assert rot.cluster_slopes[k] == expectation(model.derivative(0.5), raw[:, k])
+        assert rot.cluster_slopes[k] == expectation(model.b, raw[:, k])
 
 
 def test_rotation_block_is_diagonal_after():
     model = six_site_model()
     rot = rotated_spectrum(model, 1.0)
-    hp = model.derivative(1.0).entries
+    hp = model.b.entries
     v = rot.eigenvectors
     block = v[:, 1:3].T @ hp @ v[:, 1:3]
     assert abs(block[0, 1]) <= 1e-10
@@ -235,7 +249,7 @@ def test_rotation_preserves_eigen_residual():
 def test_rotation_trace_invariance():
     model = six_site_model()
     rot = rotated_spectrum(model, 1.0)
-    hp = model.derivative(1.0).entries
+    hp = model.b.entries
     for c in rot.clusters:
         raw = model.spectrum(1.0).eigenvectors[:, c.start : c.stop]
         trace = np.trace(raw.T @ hp @ raw)
@@ -337,6 +351,12 @@ def test_report_stencils_stay_inside_the_domain(lam):
 def test_report_rejects_bad_step(h):
     with pytest.raises(ValueError, match=f"got {h!r}"):
         hft_report(oscillator_model(n_max=4), 0.3, h=h)
+
+
+@pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -1e-4])
+def test_offdiag_residual_rejects_bad_step(h):
+    with pytest.raises(ValueError, match=f"got {h!r}"):
+        offdiag_identity_residual(six_site_model(), 0.5, 0, 1, h=h)
 
 
 def test_report_away_from_clusters_random_draws():

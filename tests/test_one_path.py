@@ -1,7 +1,7 @@
 """The package keeps one path for each step of its loop: one eigensolver
 call site, one column matcher, one branch-tracking rule and one owner of
-the sparse form of a matrix.  These tests read the source of ``hftkit`` and
-fail when a second path appears."""
+the sparse form of a matrix and of every product with it.  These tests read
+the source of ``hftkit`` and fail when a second path appears."""
 
 import ast
 from pathlib import Path
@@ -97,3 +97,21 @@ def test_the_row_form_of_a_matrix_is_read_in_spectral_only():
             if name == "_row_form" or (isinstance(node, ast.Constant) and node.value == "_row_form"):
                 readers.add(path.stem)
     assert readers == {"spectral"}
+
+
+def test_matrix_entries_are_multiplied_in_spectral_only():
+    # SymmetricMatrix.vecmat chooses how a product reads a matrix; a product
+    # with .entries elsewhere would stream it dense whatever that choice is.
+    products = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                operands = [node.left, node.right]
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "dot":
+                operands = [node.func.value, *node.args]
+            else:
+                continue
+            if any(getattr(o, "attr", None) == "entries" for o in operands):
+                products.append((path.stem, node.lineno))
+    assert [p for p in products if p[0] != "spectral"] == []

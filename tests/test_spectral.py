@@ -241,26 +241,17 @@ def test_builtin_derivatives_are_central_differences_of_the_direct_builds():
     six = six_site_model()
     for lam in (0.3, 0.8, 1.7):
         fd = central(six_site_hamiltonian, lam)
-        assert np.abs(six.derivative(lam).entries - fd).max() <= 1e-9
+        assert np.abs(six.b.entries - fd).max() <= 1e-9
     osc = oscillator_model(1.0, 4)
     for lam in (-0.5, 0.0, 0.3):
         fd = central(lambda x: oscillator_matrix(1.0, x, 4), lam)
-        assert np.abs(osc.derivative(lam).entries - fd).max() <= 1e-9
+        assert np.abs(osc.b.entries - fd).max() <= 1e-9
     assert np.array_equal(osc.b.entries, oscillator_xy_matrix(1.0, 4).entries)
 
 
 def test_model_rejects_mismatched_a_and_b():
     with pytest.raises(ValueError, match=r"A is 3 x 3 but B is 2 x 2"):
         ParametricModel(a=SymmetricMatrix(np.eye(3)), b=SymmetricMatrix(np.eye(2)))
-
-
-def test_model_derivative_is_b_inside_the_domain():
-    model = six_site_model()
-    for lam in (0.1, 1.0, 7.5):
-        assert model.derivative(lam) is model.b
-    for lam in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="domain"):
-            model.derivative(lam)
 
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8),
@@ -616,6 +607,60 @@ def test_vecmat_reads_the_nonzeros_of_a_row_sparse_b(n_max):
     cols, vals = b._row_form
     assert cols.shape == vals.shape == (b.dim, 4)
     assert not cols.flags.writeable and not vals.flags.writeable
+
+
+@pytest.mark.parametrize("n_max", [20, 32])
+def test_vecmat_of_a_vector_is_bitwise_the_one_vector_row_form(n_max):
+    b = oscillator_model(n_max=n_max).b
+    cols, vals = b._row_form
+    for v in _unit_vectors(b.dim):
+        assert np.array_equal(b.vecmat(v), np.einsum("ij,ij->i", vals, v[cols]))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n_max", [None, 12, 20, 32])
+def test_vecmat_of_a_stack_is_the_product_of_each_row(n_max, k):
+    # six-site and nmax 12 stay dense, bit for bit; nmax 20 and 32 read the
+    # row form.  The stacks are contiguous rows and the transpose of k
+    # eigenvector columns, as a cluster block passes them.
+    b = (six_site_model() if n_max is None else oscillator_model(n_max=n_max)).b
+    vectors = _unit_vectors(b.dim)
+    columns = np.linalg.eigh(b.entries)[1][:, :k]
+    for stack in (np.array(vectors[:k]), columns.T):
+        got, want = b.vecmat(stack), stack @ b.entries
+        assert got.shape == (k, b.dim)
+        if b._row_form is None:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("row_form", [True, False])
+@given(seed=st.integers(0, 2**32 - 1), offsets=st.integers(1, 2), diagonal=st.booleans(),
+       gap=st.integers(0, 24), k=st.integers(1, 4))
+def test_vecmat_of_a_random_row_sparse_matrix_is_the_dense_product(
+    row_form, seed, offsets, diagonal, gap, k
+):
+    # A circulant band pattern gives every row the same nonzero count w, so
+    # d = 48 w + gap reads the row form and d = 48 w - 1 - gap does not.
+    width = 2 * offsets + diagonal
+    d = 48 * width + gap if row_form else 48 * width - 1 - gap
+    rng = np.random.default_rng(seed)
+    a = np.zeros((d, d))
+    rows = np.arange(d)
+    for o in rng.choice(np.arange(1, (d + 1) // 2), size=offsets, replace=False):
+        a[rows, (rows + o) % d] = a[(rows + o) % d, rows] = rng.standard_normal(d)
+    if diagonal:
+        a[rows, rows] = rng.standard_normal(d)
+    m = SymmetricMatrix(a)
+    stack = rng.standard_normal((k, d)) / math.sqrt(d)
+    assert (m._row_form is not None) == row_form
+    for v in (stack, stack[0]):
+        got, want = m.vecmat(v), v @ m.entries
+        if row_form:
+            assert np.abs(got - want).max() <= 1e-13
+        else:
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("d", [1, 6, 200])

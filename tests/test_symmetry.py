@@ -77,7 +77,7 @@ def test_six_site_hamiltonian_commutes(lam):
 
 def test_six_site_derivative_commutes():
     model = six_site_model()
-    assert commutant_residual(six_site_rep(), model.derivative(1.0)) <= 1e-12
+    assert commutant_residual(six_site_rep(), model.b) <= 1e-12
 
 
 def test_broken_symmetry_is_visible():
@@ -244,7 +244,7 @@ def test_projector_resolution_of_identity(rep):
 
 def test_cross_irrep_derivative_elements_vanish():
     model = six_site_model()
-    hp = model.derivative(1.0).entries
+    hp = model.b.entries
     rot = rotated_spectrum(model, 1.0)
     labels = [l.label for l in classify(rot, model.symmetry, model.character_table)]
     v = rot.eigenvectors
