@@ -24,7 +24,12 @@ from .models import (
     MODEL_SUMMARIES,
     build_model,
 )
-from .spectral import DEFAULT_FD_STEP, TrackingError, match_columns
+from .spectral import (
+    _PREDICTED_MATCH_MIN_DIM,
+    DEFAULT_FD_STEP,
+    TrackingError,
+    match_columns,
+)
 from .svgplot import line_plot
 from .symmetry import _labels
 
@@ -136,7 +141,6 @@ def run_scan(config: ScanConfig) -> CsvTable:
     table = CsvTable(header=tuple(header))
 
     branch_vectors: Optional[np.ndarray] = None
-    prev_lam: Optional[float] = None
     # Identity order for --sorted and for the first tracked point.
     perm = np.arange(model.dim)
     signs = np.ones(model.dim)
@@ -145,20 +149,36 @@ def run_scan(config: ScanConfig) -> CsvTable:
         if not config.sorted_output:
             vectors = rot.eigenvectors
             if branch_vectors is not None:
+                # Each branch should land on the level nearest its
+                # Hellmann-Feynman prediction E + slope * (lam - prev_lam).
+                # match_columns reads that guess on large bases only, so
+                # smaller ones skip making it.
+                expected = None
+                if model.dim >= _PREDICTED_MATCH_MIN_DIM:
+                    expected = _nearest_levels(
+                        rot.eigenvalues, prev_energies + prev_slopes * (lam - prev_lam)
+                    )
                 try:
-                    perm, signs = match_columns(branch_vectors, vectors)
+                    perm, signs = match_columns(branch_vectors, vectors, expected=expected)
                 except TrackingError as exc:
                     raise TrackingError(
                         f"eigenpair tracking is ambiguous in [{prev_lam:.12g}, {lam:.12g}]; "
                         f"rerun with more --steps"
                     ) from exc
             branch_vectors = vectors[:, perm] * signs
-            prev_lam = lam
-        row = [lam, *rot.eigenvalues[perm].tolist()]
+        energies, slopes = rot.eigenvalues[perm], rot.cluster_slopes[perm]
+        row = [lam, *energies.tolist()]
         if config.slopes:
-            row += rot.cluster_slopes[perm].tolist()
+            row += slopes.tolist()
         table.append(row)
+        prev_lam, prev_energies, prev_slopes = lam, energies, slopes
     return table
+
+
+def _nearest_levels(levels: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """For each target, the index of the nearest of the ascending levels:
+    the number of midpoints between neighbouring levels below it."""
+    return np.searchsorted((levels[:-1] + levels[1:]) / 2.0, targets)
 
 
 def run_fermi(config: ScanConfig) -> tuple[CsvTable, dict[str, str]]:

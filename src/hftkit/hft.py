@@ -43,19 +43,24 @@ def default_degeneracy_tol(eigenvalues: np.ndarray) -> float:
     return DEGENERACY_REL_TOL * (1.0 + radius)
 
 
-def _partition(w: np.ndarray, tol: float) -> tuple[list[range], np.ndarray]:
+def _partition(
+    w: np.ndarray, tol: float, singletons: bool = True
+) -> tuple[list[range], np.ndarray]:
     """The clusters of ascending w, as ranges of state indices, and the gap
-    at each boundary between neighbouring clusters, in order, from one diff."""
+    at each boundary between neighbouring clusters, in order, from one diff.
+    With ``singletons`` false the clusters may leave out those of one state."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
     gaps = w[1:] - w[:-1]  # np.diff(w) bit for bit, without its wrapper
-    # fmin ignores nan, so only a gap below zero is a descent; the initial
-    # value covers w of length 0 or 1.
-    if np.fmin.reduce(gaps, initial=0.0) < 0.0:
+    wide = gaps > tol
+    # Gaps that all exceed tol >= 0 ascend, and leave every state alone.
+    # Otherwise fmin, which ignores nan, finds any gap below zero, a descent.
+    all_wide = wide.all()
+    if not all_wide and np.fmin.reduce(gaps) < 0.0:
         raise ValueError("eigenvalues must be ascending")
-    if len(w) == 0:
+    if len(w) == 0 or (all_wide and not singletons):
         return [], gaps
-    breaks = (gaps > tol).nonzero()[0]
+    breaks = wide.nonzero()[0]
     bounds = [0, *(breaks + 1).tolist(), len(w)]
     return list(map(range, bounds[:-1], bounds[1:])), gaps[breaks]
 
@@ -133,16 +138,17 @@ class RotatedSpectrum:
 
 
 def _rotate_clusters(
-    spectrum: Spectrum, hp: SymmetricMatrix, tol: float
+    spectrum: Spectrum, hp: SymmetricMatrix, tol: float, singletons: bool = True
 ) -> tuple[list[range], np.ndarray, np.ndarray, np.ndarray]:
-    """The clusters of the spectrum under tol, the gaps at the boundaries
-    between them, the eigenvectors with each cluster of size g > 1 mixed by
-    the eigenvector matrix of its g x g block B_ij = <psi_i|hp|psi_j>
-    (read-only), and the block eigenvalues (ascending) as the slopes of the
-    cluster states.  Slope entries of singleton states are left unset."""
+    """The clusters of the spectrum under tol (see :func:`_partition` for
+    ``singletons``), the gaps at the boundaries between them, the
+    eigenvectors with each cluster of size g > 1 mixed by the eigenvector
+    matrix of its g x g block B_ij = <psi_i|hp|psi_j> (read-only), and the
+    block eigenvalues (ascending) as the slopes of the cluster states.
+    Slope entries of singleton states are left unset."""
     if spectrum.dim != hp.dim:
         raise ValueError("spectrum and derivative matrix dimensions differ")
-    clusters, boundary_gaps = _partition(spectrum.eigenvalues, tol)
+    clusters, boundary_gaps = _partition(spectrum.eigenvalues, tol, singletons)
     vectors = spectrum.eigenvectors
     rotated = vectors.copy()
     slopes = np.empty(spectrum.dim)
@@ -162,7 +168,7 @@ def hft_basis(spectrum: Spectrum, hp: SymmetricMatrix, tol: Optional[float] = No
     its slopes and warnings."""
     if tol is None:
         tol = default_degeneracy_tol(spectrum.eigenvalues)
-    rotated = _rotate_clusters(spectrum, hp, tol)[2]
+    rotated = _rotate_clusters(spectrum, hp, tol, singletons=False)[2]
     return Spectrum(lam=spectrum.lam, eigenvalues=spectrum.eigenvalues, eigenvectors=rotated)
 
 

@@ -35,14 +35,14 @@ def six_site_hamiltonian(lam: float) -> SymmetricMatrix:
         h[i, j] = h[j, i] = 1.0
     for i, j in SIX_SITE_LAMBDA_BONDS:
         h[i, j] = h[j, i] = lam
-    return SymmetricMatrix(h)
+    return SymmetricMatrix._adopt(h)
 
 
 def six_site_derivative() -> SymmetricMatrix:
     hp = np.zeros((6, 6))
     for i, j in SIX_SITE_LAMBDA_BONDS:
         hp[i, j] = hp[j, i] = 1.0
-    return SymmetricMatrix(hp)
+    return SymmetricMatrix._adopt(hp)
 
 
 def six_site_analytic_eigenvalues(lam: float) -> np.ndarray:
@@ -128,7 +128,7 @@ def oscillator_xy_matrix(omega: float, n_max: int) -> SymmetricMatrix:
             x = np.sqrt(np.maximum(m, m2) / (2.0 * omega))
             y = np.sqrt(np.maximum(n, n2) / (2.0 * omega))
             xy[rows[inside], cols[inside]] = (x * y)[inside]
-    return SymmetricMatrix(xy)
+    return SymmetricMatrix._adopt(xy)
 
 
 def _oscillator_diagonal(omega: float, n_max: int) -> np.ndarray:
@@ -140,7 +140,7 @@ def oscillator_matrix(omega: float, lam: float, n_max: int) -> SymmetricMatrix:
     """H0 + lambda * XY with H0 diagonal, (m + n + 1) * omega per state."""
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    return SymmetricMatrix(
+    return SymmetricMatrix._adopt(
         _oscillator_diagonal(omega, n_max) + lam * oscillator_xy_matrix(omega, n_max).entries
     )
 
@@ -233,7 +233,7 @@ def oscillator_model(
         raise ValueError("omega must be positive")
     exact = OscillatorAnalytic(omega=omega)
     return ParametricModel(
-        a=SymmetricMatrix(_oscillator_diagonal(omega, n_max)),
+        a=SymmetricMatrix._adopt(_oscillator_diagonal(omega, n_max)),
         b=oscillator_xy_matrix(omega, n_max),
         analytic_eigenvalues_at=lambda lam: exact.sorted_eigenvalues(lam, n_max),
         symmetry=oscillator_rep(n_max),

@@ -26,10 +26,19 @@ _CONSTRUCTION_ASYM_TOL = 1e-12
 # v @ M reads only the nonzeros of M when its widest row holds at most
 # d / 48 of them.  Per call on the oscillator's x*y coupling (4 nonzeros a
 # row, so the switch falls at d = 192; 2-core Xeon VM, numpy 2.4.6, one BLAS
-# thread), dense against row form: 4.9 against 5.4 us at d = 153, 6.8
-# against 5.8 at d = 190, 9.6 against 6.5 at d = 231, 86 against 12.5 at
-# d = 561.
+# thread; best of 15 runs, which still drift by a third), dense against
+# row form: 4.4 against 4.5 us at d = 153, 5.7 against 3.4 at d = 190, 8.6
+# against 5.5 at d = 231, 89 against 8.3 at d = 561.
 _ROW_FORM_SPARSITY = 48
+# match_columns reads a guessed match from d = 64 on.  Per call between two
+# points of an oscillator scan 0.005 apart (same machine), proof against the
+# full overlap product: 20 against 25 us at d = 45, 25 against 41 at d = 66,
+# 120 against 940 at d = 231, 1.3 against 7.9 ms at d = 561.
+_PREDICTED_MATCH_MIN_DIM = 64
+# Allowance for rounding in the overlaps of orthonormal columns.
+_PREDICTED_MATCH_SLACK = 1e-12
+# Entries per band of rows in the symmetry check of a new matrix.
+_SYMMETRY_BAND = 1 << 16
 
 
 class TrackingError(RuntimeError):
@@ -37,8 +46,15 @@ class TrackingError(RuntimeError):
 
 
 def _require_finite(a: np.ndarray) -> None:
-    if not np.isfinite(a).all():
+    # max and min pass nan on and, unlike isfinite, make no temporary the size of a.
+    if not (math.isfinite(a.max()) and math.isfinite(a.min())):
         raise ValueError("matrix entries must be finite")
+
+
+def _is_symmetric(a: np.ndarray) -> bool:
+    """a == a.T, compared a band of rows at a time so no d x d temporary is made."""
+    band = max(1, _SYMMETRY_BAND // len(a))
+    return all((a[i : i + band] == a[:, i : i + band].T).all() for i in range(0, len(a), band))
 
 
 def _freeze(m: "SymmetricMatrix", entries: np.ndarray) -> None:
@@ -59,11 +75,23 @@ class SymmetricMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.entries, dtype=float)
+        self._store(np.array(self.entries, dtype=float))
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray) -> "SymmetricMatrix":
+        """A matrix that keeps the float array ``a`` itself, checked as the
+        constructor checks its input but not copied: for a model function handing
+        over a fresh array it drops.  ``a`` turns read-only.  An array of
+        another dtype is converted, as the constructor converts it."""
+        out = object.__new__(cls)
+        out._store(np.asarray(a, dtype=float))
+        return out
+
+    def _store(self, a: np.ndarray) -> None:
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         _require_finite(a)
-        if not (a == a.T).all():
+        if not _is_symmetric(a):
             scale = max(1.0, float(np.abs(a).max()))
             asym = float(np.abs(a - a.T).max())
             if asym > _CONSTRUCTION_ASYM_TOL * scale:
@@ -78,14 +106,19 @@ class SymmetricMatrix:
 
         A and B were validated when they were built and the sum of two
         exactly symmetric matrices is exactly symmetric, so only finiteness
-        is checked here.
+        is checked here, and only when |A| + |lam| |B| (largest entries)
+        exceeds 2^1022 or is not a number; below that bound no entry can
+        overflow.
         """
         if a.dim != b.dim:
             raise ValueError(f"cannot add a {a.dim} x {a.dim} and a {b.dim} x {b.dim} matrix")
-        # An overflow is reported by the finiteness check, not by numpy.
-        with np.errstate(over="ignore", invalid="ignore"):
+        if a.norm_inf + abs(lam) * b.norm_inf <= 2.0**1022:
             m = a.entries + lam * b.entries
-        _require_finite(m)
+        else:
+            # An overflow is reported by the finiteness check, not by numpy.
+            with np.errstate(over="ignore", invalid="ignore"):
+                m = a.entries + lam * b.entries
+            _require_finite(m)
         out = object.__new__(cls)
         _freeze(out, m)
         return out
@@ -94,8 +127,9 @@ class SymmetricMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
+    @cached_property
     def norm_inf(self) -> float:
+        """The largest |entry|, computed on first use."""
         return float(np.abs(self.entries).max())
 
     def vecmat(self, v: np.ndarray) -> np.ndarray:
@@ -114,7 +148,17 @@ class SymmetricMatrix:
             return v.dot(self.entries) if v.ndim == 1 else v @ self.entries
         cols, vals = row_form
         # M is symmetric, so row i of M times a vector is entry i of its product.
+        if v.ndim == 1:
+            # Summing each row by a product with ones has the bits of the
+            # einsum below at about half its cost for one vector; for a
+            # stack it rounds differently.
+            return (vals * v[cols]) @ self._row_ones
         return np.einsum("ij,...ij->...i", vals, v[..., cols])
+
+    @cached_property
+    def _row_ones(self) -> np.ndarray:
+        """One 1.0 per slot of a row of the row form."""
+        return np.ones(self._row_form[1].shape[1])
 
     @cached_property
     def _row_form(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -167,7 +211,9 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     input layout: products such as v @ hp @ v round differently otherwise.
     """
     lead = np.abs(vectors).argmax(axis=0)
-    signs = np.where(vectors[lead, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
+    # A column's largest component is zero only in a zero column, so its
+    # sign bit alone says whether it is negative.
+    signs = np.copysign(1.0, vectors[lead, np.arange(vectors.shape[1])])
     return np.multiply(vectors, signs, order="C")
 
 
@@ -282,6 +328,7 @@ def match_columns(
     reference: np.ndarray,
     candidate: np.ndarray,
     ambiguity_tol: float = TRACKING_AMBIGUITY_TOL,
+    expected: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy best-overlap assignment of candidate columns to reference columns.
 
@@ -291,12 +338,76 @@ def match_columns(
     with ``reference`` (each matched overlap positive).  Raises
     :class:`TrackingError` when, for some reference column, the two best
     remaining |overlaps| differ by less than ``ambiguity_tol``.
+
+    ``expected``, if given, names for each reference column the candidate
+    column it should continue into.  It is a guess, not an answer: the
+    result, and any error, is the one the call without it gives.  A good
+    guess lets most columns skip their row of the k x d overlap product.
+    The proof that skips a row rests on Bessel's inequality, so it holds
+    only for orthonormal columns on both sides: give a guess for no other
+    sets.  It widens each bound by 1e-12 (``_PREDICTED_MATCH_SLACK``) for
+    rounding.  Below d = 64 (``_PREDICTED_MATCH_MIN_DIM``) ``expected`` is
+    ignored, as there the full product costs less than the proof.
     """
     rows, k = reference.shape
     if rows != candidate.shape[0] or k > candidate.shape[1]:
         raise ValueError(
             f"cannot match a {rows} x {k} reference against candidates of shape {candidate.shape}"
         )
+    if expected is not None and rows >= _PREDICTED_MATCH_MIN_DIM:
+        found = _predicted_match(reference, candidate, ambiguity_tol, expected)
+        if found is not None:
+            return found
+    return _overlap_match(reference, candidate, ambiguity_tol)
+
+
+def _predicted_match(
+    reference: np.ndarray, candidate: np.ndarray, ambiguity_tol: float, expected: np.ndarray
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The result of :func:`_overlap_match` when the guess ``expected``
+    proves it, else None.
+
+    For a unit reference column r and orthonormal candidate columns,
+    Bessel's inequality bounds the sum of r's squared overlaps by 1.  So
+    when a = |<r|c>| for the expected column c, every other overlap is at
+    most sqrt(1 - a^2), and a - sqrt(1 - a^2) > tol settles r: c is its best
+    column by more than tol.  Every other column gets its row of overlaps.
+    When each column's best candidate is distinct and beats its runner-up by
+    more than tol, :func:`_overlap_match` returns exactly these columns
+    without its greedy loop.  The slack ``_PREDICTED_MATCH_SLACK`` is added
+    to every bound and margin; it covers the rounding of the products and
+    of the columns' orthonormality.  A negative tol counts as zero, so
+    every margin also proves a strict best column.
+    """
+    k, d = reference.shape[1], candidate.shape[1]
+    perm = np.array(expected, dtype=np.intp)
+    if perm.shape != (k,) or not ((perm >= 0) & (perm < d)).all():
+        raise ValueError(f"expected must name one of {d} candidate columns for each of {k}")
+    slack = _PREDICTED_MATCH_SLACK
+    margin = max(ambiguity_tol, 0.0) + slack
+    overlaps = np.einsum("ij,ij->j", reference, candidate[:, perm])
+    a = np.abs(overlaps)
+    # Written as "not settled" so that a nan tolerance settles nothing.
+    unsettled = np.flatnonzero(~(a - np.sqrt(np.maximum(0.0, 1.0 + slack - a * a)) > margin))
+    if len(unsettled):
+        rows = reference[:, unsettled].T @ candidate
+        mags = np.abs(rows)
+        best = mags.argmax(axis=1)
+        top_two = np.partition(mags, -2, axis=1)
+        if not (top_two[:, -1] - top_two[:, -2] > margin).all():
+            return None
+        perm[unsettled] = best
+        overlaps[unsettled] = rows[np.arange(len(unsettled)), best]
+    if np.bincount(perm, minlength=d).max() > 1:
+        return None
+    return perm, np.where(overlaps >= 0.0, 1.0, -1.0)
+
+
+def _overlap_match(
+    reference: np.ndarray, candidate: np.ndarray, ambiguity_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`match_columns` from the full k x d overlap product."""
+    k = reference.shape[1]
     overlaps = reference.T @ candidate
     mags = np.abs(overlaps)
     if k > 1:

@@ -122,6 +122,38 @@ def test_scan_validates_grid():
         run_scan(six_site_scan_config(lam_lo=2.0, lam_hi=0.2))
 
 
+# Two oscillator scans and the number of grid steps whose match_columns
+# call still forms the full overlap product: a Hellmann-Feynman-predicted
+# guess settles all 40 steps of the first, and all but the two steps next
+# to the degenerate shells at lambda = 0 of the second.
+FULL_PRODUCT_STEPS = [
+    ("--nmax 20 --lmin 0.1 --lmax 0.3 --steps 41 --slopes", 0),
+    ("--nmax 12 --lmin -0.9 --lmax 0.9 --steps 101 --slopes", 2),
+]
+
+
+@pytest.mark.parametrize("flags, full", FULL_PRODUCT_STEPS)
+def test_scan_forms_the_full_overlap_product_only_where_the_guess_fails(
+    flags, full, monkeypatch, capsys
+):
+    from hftkit import spectral
+
+    argv = ["scan", "--model", "oscillator", *flags.split()]
+    calls = []
+    original = spectral._overlap_match
+    monkeypatch.setattr(spectral, "_overlap_match",
+                        lambda *args: calls.append(1) or original(*args))
+    assert main(argv) == 0
+    guessed = capsys.readouterr().out
+    assert len(calls) == full
+    # without the guess every step forms the product, and prints the same bytes
+    calls.clear()
+    monkeypatch.setattr("hftkit.cli._PREDICTED_MATCH_MIN_DIM", math.inf)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == guessed
+    assert len(calls) == int(flags.split("--steps ")[1].split()[0]) - 1
+
+
 # --- golden scan output ---
 
 # The full stdout of three scans: a dyadic six-site grid through the crossing

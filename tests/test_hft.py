@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from hftkit.hft import (
+    _partition,
     cluster_degeneracies,
     continuity_overlap,
     default_degeneracy_tol,
     expectation,
+    hft_basis,
     hft_consistent_basis,
     hft_report,
     mixed_slope,
@@ -85,6 +87,54 @@ def test_cluster_rejects_descending_or_negative_tol():
         cluster_degeneracies(np.array([2.0, 1.0]), 1e-8)
     with pytest.raises(ValueError):
         cluster_degeneracies(np.array([1.0, 2.0]), -1.0)
+
+
+def _partition_by_loop(w, tol):
+    """Clusters of ascending w built one state at a time."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+    if any(b < a for a, b in zip(w[:-1], w[1:])):
+        raise ValueError("eigenvalues must be ascending")
+    clusters, start = [], 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] > tol:
+            clusters.append(range(start, i))
+            start = i
+    return clusters
+
+
+@pytest.mark.parametrize("w, tol", [
+    ([], 0.1), ([1.0], 0.1), ([1.0, 2.0, 3.0], 0.5), ([1.0, 2.0, 3.0], 1.0),
+    ([1.0, 1.0, 2.0], 0.0), ([0.0, 1e-9, 1.0, 1.0 + 1e-9], 1e-8),
+    ([2.0, 1.0], 0.5), ([1.0, 3.0, 2.0], 0.5), ([1.0, 3.0, 2.0], 5.0),
+    ([1.0, 2.0], -1.0), ([1.0, 2.0], math.nan), ([1.0, math.nan, 2.0], 0.1),
+])
+def test_partition_skipping_singletons_keeps_clusters_and_messages(w, tol):
+    w = np.array(w)
+    try:
+        want = _partition_by_loop(w, tol)
+    except ValueError as exc:
+        for singletons in (True, False):
+            with pytest.raises(ValueError) as got:
+                _partition(w, tol, singletons)
+            assert str(got.value) == str(exc)
+        return
+    if np.isnan(w).any():
+        return
+    clusters, gaps = _partition(w, tol)
+    assert clusters == cluster_degeneracies(w, tol) == want
+    assert np.array_equal(gaps, np.diff(w)[[c.stop - 1 for c in want[:-1]]])
+    multi, multi_gaps = _partition(w, tol, singletons=False)
+    assert [c for c in multi if len(c) > 1] == [c for c in want if len(c) > 1]
+    assert np.array_equal(multi_gaps, gaps)
+
+
+def test_hft_basis_of_a_spectrum_without_clusters_is_its_eigenvectors():
+    model = oscillator_model(n_max=12)
+    spectrum = model.spectrum(0.37)
+    basis = hft_basis(spectrum, model.b)
+    assert np.array_equal(basis.eigenvectors, spectrum.eigenvectors)
+    assert np.array_equal(basis.eigenvalues, spectrum.eigenvalues)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hftkit.fermi import FillingSpec, ground_state_curve
 from hftkit.hft import rotated_spectrum, sweep
@@ -21,6 +21,7 @@ from hftkit.spectral import (
     Spectrum,
     SymmetricMatrix,
     TrackingError,
+    _PREDICTED_MATCH_MIN_DIM,
     _fix_signs,
     eigh,
     fd_derivative,
@@ -485,6 +486,87 @@ def test_match_columns_near_tie_message_matches_reference():
     assert "state 1" in str(got.value)
 
 
+# --- a guessed match: the same answer, mostly without the overlap product ---
+
+
+def _guessed_match_case(rng, d, k, noise):
+    """Orthonormal candidate columns, k orthonormal reference columns near
+    a signed selection of them, and the selection (the right guess)."""
+    candidate = random_orthogonal(rng, d)
+    truth = rng.permutation(d)[:k]
+    near = candidate[:, truth] * rng.choice([-1.0, 1.0], size=k)
+    reference = np.linalg.qr(near + noise * rng.standard_normal((d, k)))[0]
+    return reference, candidate, truth
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1),
+       d=st.sampled_from([_PREDICTED_MATCH_MIN_DIM - 1, _PREDICTED_MATCH_MIN_DIM, 90]),
+       k_share=st.floats(0.0, 1.0), noise=st.sampled_from([0.0, 1e-3, 0.05, 0.3]),
+       guess=st.sampled_from(["right", "shuffled", "repeated"]),
+       tol=st.sampled_from([1e-6, 0.02, 0.5, -1e-12, math.nan]))
+def test_a_guessed_match_gives_the_unguessed_result_or_error(seed, d, k_share, noise, guess, tol):
+    rng = np.random.default_rng(seed)
+    k = 1 + int(k_share * (d - 1))
+    reference, candidate, expected = _guessed_match_case(rng, d, k, noise)
+    if guess == "shuffled":
+        expected = expected[rng.permutation(k)]
+    elif guess == "repeated":
+        expected = expected[rng.integers(0, k, size=k)]
+    try:
+        want = match_columns(reference, candidate, tol)
+    except TrackingError as exc:
+        with pytest.raises(TrackingError) as got:
+            match_columns(reference, candidate, tol, expected=expected)
+        assert str(got.value) == str(exc)
+    else:
+        got = match_columns(reference, candidate, tol, expected=expected)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_a_right_guess_settles_the_match_without_the_overlap_product(monkeypatch):
+    from hftkit import spectral
+
+    rng = np.random.default_rng(4)
+    d = _PREDICTED_MATCH_MIN_DIM
+    reference, candidate, truth = _guessed_match_case(rng, d, d, 1e-3)
+    want = match_columns(reference, candidate)
+    assert np.array_equal(want[0], truth)
+
+    def no_product(*args):
+        raise AssertionError("the full overlap product ran")
+
+    monkeypatch.setattr(spectral, "_overlap_match", no_product)
+    got = match_columns(reference, candidate, expected=truth)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # half the guesses wrong: those columns get their own overlap rows
+    wrong = truth.copy()
+    wrong[::2] = np.roll(truth[::2], 1)
+    got = match_columns(reference, candidate, expected=wrong)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_a_guess_is_ignored_below_the_size_switch(monkeypatch):
+    from hftkit import spectral
+
+    calls = []
+    original = spectral._predicted_match
+    monkeypatch.setattr(spectral, "_predicted_match",
+                        lambda *args: calls.append(args[0].shape[0]) or original(*args))
+    for d in (_PREDICTED_MATCH_MIN_DIM - 1, _PREDICTED_MATCH_MIN_DIM):
+        reference, candidate, truth = _guessed_match_case(np.random.default_rng(d), d, 3, 0.0)
+        # an out-of-range guess is an error only where a guess is read
+        bad = np.full(3, d)
+        if d < _PREDICTED_MATCH_MIN_DIM:
+            got = match_columns(reference, candidate, expected=bad)
+            assert np.array_equal(got[0], truth)
+        else:
+            with pytest.raises(ValueError, match="expected must name"):
+                match_columns(reference, candidate, expected=bad)
+        match_columns(reference, candidate, expected=truth)
+    assert calls == [_PREDICTED_MATCH_MIN_DIM, _PREDICTED_MATCH_MIN_DIM]
+
+
 # --- overflow-free symmetrization and the affine constructor ---
 
 
@@ -572,6 +654,65 @@ def test_affine_rejects_overflow_and_mismatched_dimensions():
         SymmetricMatrix.affine(a, math.nan, b)
     with pytest.raises(ValueError, match="cannot add"):
         SymmetricMatrix.affine(a, 1.0, SymmetricMatrix(np.eye(3)))
+
+
+def test_affine_skips_the_finiteness_check_only_where_the_sum_is_bounded(monkeypatch):
+    # |A| + |lam| |B| <= 2^1022 proves every entry finite; above it, and for
+    # a nan or infinite lambda, the sum is checked.  Both give the plain sum.
+    from hftkit import spectral
+
+    checked = []
+    original = spectral._require_finite
+    monkeypatch.setattr(spectral, "_require_finite", lambda m: (checked.append(1), original(m)))
+    a = SymmetricMatrix([[2.0**1021, 0.0], [0.0, 1.0]])
+    b = SymmetricMatrix([[0.0, 1.0], [1.0, -0.5]])
+    for lam, slow in ((2.0**1021, False), (-(2.0**1021), False), (1.5 * 2.0**1021, True),
+                      (-(1.5 * 2.0**1021), True), (0.25, False)):
+        checked.clear()
+        got = SymmetricMatrix.affine(a, lam, b)
+        assert np.array_equal(got.entries, a.entries + lam * b.entries)
+        assert checked == ([1] if slow else [])
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            SymmetricMatrix.affine(a, lam, b)
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        SymmetricMatrix.affine(a, 2.0**1023, SymmetricMatrix([[0.0, 4.0], [4.0, 0.0]]))
+    # B = 0 times an infinite lambda is nan, not a pass
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        SymmetricMatrix.affine(a, math.inf, SymmetricMatrix(np.zeros((2, 2))))
+
+
+def test_norm_inf_is_computed_once_per_matrix():
+    m = SymmetricMatrix([[1.0, -3.0], [-3.0, 2.0]])
+    assert "norm_inf" not in vars(m)
+    assert m.norm_inf == 3.0
+    assert vars(m)["norm_inf"] == 3.0
+
+
+def test_model_functions_hand_over_their_array_and_callers_keep_theirs():
+    a = np.array([[1.0, 2.0], [2.0, 3.0]])
+    public = SymmetricMatrix(a)
+    assert public.entries is not a and a.flags.writeable
+    adopted = SymmetricMatrix._adopt(a)
+    assert adopted.entries is a and not a.flags.writeable
+    # checked and converted as the constructor does
+    assert SymmetricMatrix._adopt(np.eye(2, dtype=int)).entries.dtype == float
+    with pytest.raises(ValueError, match="not symmetric"):
+        SymmetricMatrix._adopt(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        SymmetricMatrix._adopt(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+
+def test_symmetry_check_reads_every_band_of_a_large_matrix():
+    # 300 rows span two bands of rows; an asymmetry in either is found
+    d = 300
+    for i, j in ((1, 250), (299, 3), (200, 201)):
+        a = np.eye(d)
+        a[i, j] = 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            SymmetricMatrix(a)
+        a[i, j] = 1e-15
+        assert SymmetricMatrix(a).entries[i, j] == SymmetricMatrix(a).entries[j, i]
 
 
 # --- the vector product v @ M ---
