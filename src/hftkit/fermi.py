@@ -16,13 +16,23 @@ point it reaches, the basis that diagonalizes dH/dlambda in each degenerate
 subspace there and so continues the branches that meet in it; away from
 degeneracies it is the eigensolver's basis.
 
-:func:`ground_state_curve` and :func:`find_crossings` read a sweep once, in order.
+:func:`ground_state_curve` and :func:`find_crossings` read a sweep once, in
+order.  The curve keeps per-point numbers and a copy of one state per point,
+not the points.  The crossing search holds the point in hand and the one
+before it.  On bases of ``_HELPER_MIN_DIM`` states or more, when a second CPU
+is usable and the BLAS runs each call on one thread, it hands interval
+searches to a helper thread, at most two at a time, and then also holds the
+left points of those intervals; the crossings and errors are the same.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -32,6 +42,14 @@ from .spectral import ParametricModel, TrackingError
 from .symmetry import _labels
 
 BISECTION_WIDTH = 1e-10
+# Least dimension at which find_crossings hands interval searches to a
+# helper thread.  Measured on alternating fermi-oscillator rounds (18
+# requests) at smaller cutoffs, one BLAS thread, 2-core Xeon VM: inline time
+# over helper time was 0.84-0.94 at d = 28, 1.20 at d = 36 (the helper ahead
+# on 13 of 18 requests), 1.21 at d = 45 (17 of 18) and 1.35-1.42 at
+# d = 55-66.  In spells when the VM ran only one of the two threads at a
+# time it was 0.91-0.95 at every d.
+_HELPER_MIN_DIM = 45
 
 
 @dataclass(frozen=True)
@@ -193,9 +211,18 @@ def find_crossings(
     the step before last, is replaced by bisection.  Refinement stops when
     the Newton correction is at most ``BISECTION_WIDTH / 2`` or the bracket
     is at most ``BISECTION_WIDTH`` wide.  Grid points already sitting on a
-    frontier degeneracy are reported directly.  Only the point in hand and
-    the one before it are held: an interval is searched once its right end
-    has been read, unless either end is such a point.
+    frontier degeneracy are reported directly.  An interval is searched
+    once its right end has been read, unless either end is such a point.
+
+    The searches of different intervals are independent.  Where a helper
+    thread can run them beside the reading of the grid (see
+    :func:`_helper_helps`), each one is handed to it, at most two at a time,
+    and only the point in hand, the one before it and the left points of
+    those two intervals are held.  Elsewhere each is searched on the spot
+    and only the point in hand and the one before it are held.  Either way
+    the crossings are the same, and the first error in grid order is the
+    one raised: a failed search comes before the error of a grid point read
+    after its interval.
 
     Each branch is followed into the Hellmann-Feynman basis of every probe
     point, formed with the degeneracy tolerance of the interval's left grid
@@ -217,24 +244,115 @@ def find_crossings(
     n_p = fill.n_particles
     if n_p >= model.dim:
         return []  # full filling has no frontier
+    if not _helper_helps(model.dim):
+        return _search_intervals(model, points, n_p, None)
+    # Imported here: it takes about 7 ms, which `import hftkit` does not pay.
+    from concurrent.futures import ThreadPoolExecutor
 
-    crossings: list[float] = []
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        return _search_intervals(model, points, n_p, helper)
+
+
+def _search_intervals(model: ParametricModel, points: Iterable[RotatedSpectrum], n_p: int,
+                      helper) -> list[float]:
+    """The loop of :func:`find_crossings`.  An interval is handed to the
+    ``helper`` executor while it holds fewer than two, and searched on the
+    spot otherwise, or always when ``helper`` is None.  Results, and
+    errors, are taken in grid order, each as soon as it and those before
+    it are done."""
+    crossings: list[Optional[float]] = []
+    pending: deque = deque()  # the searches not yet taken, in grid order
     prev, prev_hit, count = None, False, 0
-    for count, rot in enumerate(points, 1):
-        lam = float(rot.lam)
-        hit = _frontier_cluster(rot, n_p) is not None
-        if prev is not None and lam <= prev.lam:
-            raise ValueError("need an ascending grid")
-        if prev is not None and not (hit or prev_hit):
-            crossing = _interval_crossing(model, prev, lam, n_p)
-            if crossing is not None:
-                crossings.append(crossing)
-        if hit:
-            crossings.append(lam)
-        prev, prev_hit = rot, hit
+    try:
+        for count, rot in enumerate(points, 1):
+            lam = float(rot.lam)
+            hit = _frontier_cluster(rot, n_p) is not None
+            if prev is not None and lam <= prev.lam:
+                raise ValueError("need an ascending grid")
+            if prev is not None and not (hit or prev_hit):
+                if helper is not None and sum(not s.done() for s in pending) < 2:
+                    pending.append(helper.submit(_interval_crossing, model, prev, lam, n_p))
+                else:
+                    pending.append(_Searched(_interval_crossing, model, prev, lam, n_p))
+                while pending and pending[0].done():
+                    crossings.append(pending.popleft().result())
+            if hit:
+                crossings.append(lam)
+            prev, prev_hit = rot, hit
+    finally:
+        # The searches of intervals already read come before an error
+        # raised while reading the next point, as they would on the spot.
+        while pending:
+            crossings.append(pending.popleft().result())
     if count < 2:
         raise ValueError("need at least 2 grid points")
-    return sorted(crossings)
+    return sorted(c for c in crossings if c is not None)
+
+
+class _Searched:
+    """An interval searched on the calling thread, held as a finished
+    future: its error is raised when its result is taken."""
+
+    def __init__(self, search, *args) -> None:
+        self._crossing: Optional[float] = None
+        self._error: Optional[Exception] = None
+        try:
+            self._crossing = search(*args)
+        except Exception as exc:
+            self._error = exc
+
+    def done(self) -> bool:
+        return True
+
+    def result(self) -> Optional[float]:
+        if self._error is not None:
+            raise self._error
+        return self._crossing
+
+
+def _helper_helps(dim: int) -> bool:
+    """Whether :func:`find_crossings` on a d = ``dim`` model hands its
+    interval searches to a helper thread: only where LAPACK, which runs
+    without the interpreter lock, is the larger part of a search
+    (d >= ``_HELPER_MIN_DIM``), a second CPU is usable, and the BLAS runs
+    each call on one thread.  A BLAS that spreads a call over the CPUs
+    leaves none for the helper, and one whose thread count cannot be read
+    is taken to do so."""
+    return dim >= _HELPER_MIN_DIM and _usable_cpus() >= 2 and _blas_threads() == 1
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_threads() -> Optional[int]:
+    """The thread count of the OpenBLAS that numpy loads, read through its
+    C API, or None where no such library or function is found."""
+    get = _openblas_get_num_threads()
+    return None if get is None else int(get())
+
+
+@functools.cache
+def _openblas_get_num_threads():
+    """OpenBLAS's thread-count function from the libraries shipped in a
+    numpy wheel (``numpy.libs``), or None."""
+    import ctypes
+
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libdir.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get = getattr(lib, symbol, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                return get
+    return None
 
 
 def _interval_crossing(
@@ -319,18 +437,36 @@ def ground_state_curve(
     say), read once in order.  At a grid point that lands exactly on a cusp
     the left slope is recorded.  Only per-point numbers and a copy of the
     highest occupied state are kept, not the points."""
-    fill.check(model.dim)
-    n_p = fill.n_particles
-    lams, energies, slopes, highest_occupied = [], [], [], []
+    samples = _CurveSamples(model, fill)
     for rot in points:
-        lams.append(rot.lam)
-        energies.append(float(np.sum(rot.eigenvalues[:n_p])))
-        slopes.append(_ground_slopes(rot, fill)[0])
-        highest_occupied.append(rot.eigenvectors[:, n_p - 1].copy())
-    tags = ("",) * len(lams)
-    if lams and model.symmetry is not None and model.character_table is not None:
-        _, labels = _labels(np.stack(highest_occupied, axis=1), model.symmetry,
-                            model.character_table)
-        tags = tuple(label or "" for label in labels)
-    return GroundStateCurve(lambdas=np.array(lams, dtype=float), energies=np.array(energies),
-                            slopes=np.array(slopes), branch_tags=tags)
+        samples.add(rot)
+    return samples.curve()
+
+
+class _CurveSamples:
+    """The per-point numbers of a :class:`GroundStateCurve`, taken from one
+    rotated point at a time, so that a reader of a grid can sample the
+    curve as it passes the points on."""
+
+    def __init__(self, model: ParametricModel, fill: FillingSpec) -> None:
+        fill.check(model.dim)
+        self.model, self.fill = model, fill
+        self.lams, self.energies, self.slopes, self.highest_occupied = [], [], [], []
+
+    def add(self, rot: RotatedSpectrum) -> None:
+        n_p = self.fill.n_particles
+        self.lams.append(rot.lam)
+        self.energies.append(float(np.sum(rot.eigenvalues[:n_p])))
+        self.slopes.append(_ground_slopes(rot, self.fill)[0])
+        self.highest_occupied.append(rot.eigenvectors[:, n_p - 1].copy())
+
+    def curve(self) -> GroundStateCurve:
+        model = self.model
+        tags = ("",) * len(self.lams)
+        if self.lams and model.symmetry is not None and model.character_table is not None:
+            _, labels = _labels(np.stack(self.highest_occupied, axis=1), model.symmetry,
+                                model.character_table)
+            tags = tuple(label or "" for label in labels)
+        return GroundStateCurve(lambdas=np.array(self.lams, dtype=float),
+                                energies=np.array(self.energies),
+                                slopes=np.array(self.slopes), branch_tags=tags)

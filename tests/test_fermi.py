@@ -3,11 +3,13 @@
 import dataclasses
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
+import hftkit.cli
 import hftkit.fermi
 import hftkit.hft
 from hftkit.cli import ScanConfig, main, run_fermi
@@ -351,8 +353,9 @@ def test_run_fermi_diagonalizes_a_cusp_on_the_grid_once(monkeypatch):
     config = ScanConfig(model="six-site", lam_lo=0.5, lam_hi=1.5, steps=5, n_particles=2)
     table, _ = run_fermi(config)
     assert table.comments == ["# cusp,1,-0.3333333333333337,-1.666666666666667"]
-    # the grid, then two grid-end probes on each interval not touching 1.0
-    assert lambdas == [0.5, 0.75, 1.0, 1.25, 1.5, 0.75, 0.75, 1.5, 1.5]
+    # each grid point, and after it the two grid-end probes of the interval
+    # it closes, unless that interval touches 1.0
+    assert lambdas == [0.5, 0.75, 0.75, 0.75, 1.0, 1.25, 1.5, 1.5, 1.5]
 
 
 # --- Newton refinement against the bisection it replaced ---
@@ -567,8 +570,16 @@ def frozen_heap():
     gc.unfreeze()
 
 
+def _search_on(monkeypatch, helper):
+    """Make find_crossings search its intervals on a helper thread, or on
+    the spot, whatever the model and machine."""
+    monkeypatch.setattr(hftkit.fermi, "_helper_helps", lambda dim: helper)
+
+
 @pytest.mark.parametrize("model, lo, hi, steps, n_p", SEARCH_GRIDS)
-def test_grid_readers_hold_at_most_two_points(frozen_heap, model, lo, hi, steps, n_p):
+def test_grid_readers_hold_at_most_two_points(monkeypatch, frozen_heap, model, lo, hi, steps,
+                                               n_p):
+    _search_on(monkeypatch, False)
     grid = np.linspace(lo, hi, steps)
     fill = FillingSpec(n_p)
     watch = _Watch()
@@ -585,3 +596,159 @@ def test_grid_readers_hold_at_most_two_points(frozen_heap, model, lo, hi, steps,
     for name in ("lambdas", "energies", "slopes"):
         assert getattr(curve, name).tobytes() == getattr(listed, name).tobytes()
     assert curve.branch_tags == listed.branch_tags
+
+
+# --- interval searches on a helper thread ---
+
+
+OSC12 = oscillator_model(n_max=12)
+# windows of the d = 91 model whose search fails: the first two in their
+# first interval, the others in their last
+OSC12_FAILING = [
+    (-0.61, 0.77, 29, 8),
+    (-0.61, 0.77, 21, 11),
+    (-0.2, 0.61, 17, 8),
+    (-0.2, 0.61, 29, 11),
+]
+OSC12_WINDOWS = OSC12_FAILING + [(0.1, 0.7, 21, 6), (-0.45, 0.45, 37, 4), (-0.9, 0.9, 41, 3)]
+
+
+def test_helper_runs_only_on_large_bases_with_a_free_cpu_and_one_blas_thread(monkeypatch):
+    def gate(dim, cpus, blas):
+        monkeypatch.setattr(hftkit.fermi, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(hftkit.fermi, "_blas_threads", lambda: blas)
+        return hftkit.fermi._helper_helps(dim)
+
+    min_dim = hftkit.fermi._HELPER_MIN_DIM
+    assert gate(min_dim, 2, 1)
+    assert not gate(min_dim - 1, 2, 1)
+    assert not gate(min_dim, 1, 1)
+    assert not gate(min_dim, 2, 2)
+    assert not gate(min_dim, 2, None)  # a thread count that cannot be read
+
+
+def _on_both_paths(monkeypatch, run):
+    """run() with the interval searches on the spot, then on a helper."""
+    got = []
+    for helper in (False, True):
+        _search_on(monkeypatch, helper)
+        got.append(run())
+    return got
+
+
+def _crossings_or_error(model, grid, fill):
+    try:
+        return find_crossings(model, sweep(model, grid), fill)
+    except TrackingError as exc:
+        return f"TrackingError: {exc}"
+
+
+@pytest.mark.parametrize(
+    "model, lo, hi, steps, n_p",
+    SEARCH_GRIDS + [(OSC12, *window) for window in OSC12_WINDOWS],
+)
+def test_helper_finds_the_crossings_found_on_the_spot(monkeypatch, model, lo, hi, steps, n_p):
+    grid = np.linspace(lo, hi, steps)
+    inline, helper = _on_both_paths(
+        monkeypatch, lambda: _crossings_or_error(model, grid, FillingSpec(n_p)))
+    assert helper == inline
+
+
+def test_helper_results_hold_when_threads_switch_often(monkeypatch):
+    # a switch every microsecond interleaves the reading of the grid with
+    # the helper's searches far more finely than LAPACK calls alone would
+    grid = np.linspace(-0.9, 0.2, 31)
+    fill = FillingSpec(6)
+    model = SEARCH_GRIDS[5][0]
+    _search_on(monkeypatch, False)
+    want = find_crossings(model, sweep(model, grid), fill)
+    _search_on(monkeypatch, True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [find_crossings(model, sweep(model, grid), fill) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 3 and len(want) >= 2
+
+
+def _cli(capsys, tmp_path, argv):
+    """Exit code, stdout, stderr and the SVG files of one CLI run."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    svgs = {p.name: p.read_bytes() for p in sorted(tmp_path.glob("*.svg"))}
+    for p in tmp_path.glob("*.svg"):
+        p.unlink()
+    return code, out, err, svgs
+
+
+@pytest.mark.parametrize("lo, hi, steps, n_p", OSC12_WINDOWS)
+def test_helper_leaves_cli_output_byte_identical(monkeypatch, capsys, tmp_path, lo, hi, steps,
+                                                 n_p):
+    window = ["--model", "oscillator", "--nmax", "12", "--np", str(n_p),
+              "--lmin", repr(lo), "--lmax", repr(hi), "--steps", str(steps)]
+    for argv in (["crossings", *window], ["fermi", *window, "--svg", str(tmp_path / "p")]):
+        inline, helper = _on_both_paths(monkeypatch, lambda: _cli(capsys, tmp_path, argv))
+        assert helper == inline
+    if (lo, hi, steps, n_p) in OSC12_FAILING:
+        assert inline[0] == 1 and "a tracked state crossed a third level" in inline[2]
+    else:
+        assert inline[0] == 0 and "# cusp," in inline[1]
+        assert set(inline[3]) == {"p_energy.svg", "p_slope.svg"}
+
+
+@pytest.mark.parametrize("helper", [False, True])
+def test_a_failed_search_comes_before_later_grid_points_only_in_crossings(monkeypatch, capsys,
+                                                                          helper):
+    # lambda=1.115, the last grid point, lies outside the model's domain.
+    # crossings reads the grid as it searches, so the failed search of the
+    # first interval is its answer; fermi answers for its whole grid first.
+    _search_on(monkeypatch, helper)
+    window = ["--model", "oscillator", "--nmax", "12", "--np", "8",
+              "--lmin", "-0.61", "--lmax", "1.115", "--steps", "11"]
+    assert main(["crossings", *window]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the frontier states tracked across [-0.61, -0.4375] reach ")
+    assert main(["fermi", *window]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: lambda=1.115 outside the open domain (-1.0, 1.0) "
+                   "of model 'oscillator'\n")
+
+
+@pytest.mark.parametrize("helper", [False, True])
+def test_run_fermi_samples_every_point_at_full_filling(monkeypatch, helper):
+    # find_crossings reads no point when no frontier is left
+    _search_on(monkeypatch, helper)
+    lambdas = _count_rotations(monkeypatch)
+    config = ScanConfig(model="oscillator", nmax=4, lam_lo=-0.5, lam_hi=0.5, steps=9,
+                        n_particles=15)
+    table, _ = run_fermi(config)
+    assert len(lambdas) == 9
+    assert table.column("lambda").tolist() == np.linspace(-0.5, 0.5, 9).tolist()
+    assert not table.comments
+
+
+@pytest.mark.parametrize("helper, in_flight", [(False, 0), (True, 2)])
+@pytest.mark.parametrize("model, lo, hi, steps, n_p, on_grid", [
+    ("six-site", 0.5, 1.5, 5, 2, 1),
+    ("six-site", 0.2, 2.0, 19, 2, 1),
+    ("oscillator", 0.1, 0.7, 15, 3, 0),
+    ("oscillator", -0.5, 0.5, 11, 2, 1),
+])
+def test_run_fermi_holds_points_in_hand_in_flight_and_on_cusps(
+    monkeypatch, frozen_heap, helper, in_flight, model, lo, hi, steps, n_p, on_grid
+):
+    _search_on(monkeypatch, helper)
+    watch = _Watch()
+    monkeypatch.setattr(hftkit.cli, "sweep",
+                        lambda model, grid, tol=None: watch(sweep(model, grid, tol)))
+    config = ScanConfig(model=model, nmax=6, lam_lo=lo, lam_hi=hi, steps=steps,
+                        n_particles=n_p)
+    table, _ = run_fermi(config)
+    assert sum(c.startswith("# cusp,") for c in table.comments) == 1
+    # the point in hand and the one before it, the left points of the
+    # intervals on the helper, and the points on a cusp
+    assert watch.most <= 2 + in_flight + on_grid
+    assert watch.alive() == 0
