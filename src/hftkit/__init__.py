@@ -73,6 +73,7 @@ from .fermi import (
     ground_energy,
     ground_slope_hft,
     ground_state_curve,
+    ground_state_cusps,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

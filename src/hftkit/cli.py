@@ -15,14 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fermi import (
-    FillingSpec,
-    _CurveSamples,
-    _frontier_cluster,
-    cusp_report,
-    find_crossings,
-)
-from .hft import RotatedSpectrum, hft_basis, hft_report, sweep
+from .fermi import FillingSpec, find_crossings, ground_state_cusps
+from .hft import hft_basis, hft_report, sweep
 from .models import (
     DEFAULT_OSC_NMAX,
     DEFAULT_OSC_OMEGA,
@@ -190,57 +184,21 @@ def _nearest_levels(levels: np.ndarray, targets: np.ndarray) -> np.ndarray:
 def run_fermi(config: ScanConfig) -> tuple[CsvTable, dict[str, str]]:
     """Ground-energy curve, cusp metadata, and the optional SVG pair.
 
-    The grid is read once, and each point feeds the curve, the crossing
-    search and the cusps that sit on grid points.  Held are the points in
-    hand, those of intervals still being searched (see
-    :func:`hftkit.fermi.find_crossings`) and the points on a cusp.
+    The grid is read once (see :func:`hftkit.fermi.ground_state_cusps`):
+    held are the points in hand, those of intervals still being searched
+    and the points on a cusp.
     """
     if config.n_particles is None:
         raise ValueError("fermi requires --np")
     model = config.build()
     fill = FillingSpec(config.n_particles)
-    grid = config.grid()
-    samples = _CurveSamples(model, fill)
-    # A cusp on a grid point is read from that point, not rotated again;
-    # of the other points only the curve's numbers are kept.
-    cusp_points: dict[float, RotatedSpectrum] = {}
-    grid_error: Optional[Exception] = None
-    search_error: Optional[Exception] = None
-
-    def read():
-        # A grid point's error ends the pass, and is raised below before any
-        # error of the search, as when the whole grid was read first.
-        nonlocal grid_error
-        try:
-            for rot in sweep(model, grid, config.tol_deg):
-                samples.add(rot)
-                if _frontier_cluster(rot, fill.n_particles) is not None:
-                    cusp_points[rot.lam] = rot
-                yield rot
-        except Exception as exc:
-            grid_error = exc
-
-    points = read()
-    try:
-        found = find_crossings(model, points, fill)
-    except Exception as exc:
-        search_error = exc
-    for _ in points:  # the rest of the grid: all of it at full filling
-        pass
-    if grid_error is not None:
-        raise grid_error
-    curve = samples.curve()
-    if search_error is not None:
-        raise search_error
+    curve, cusps = ground_state_cusps(model, sweep(model, config.grid(), config.tol_deg), fill,
+                                      config.tol_deg)
 
     table = CsvTable(header=("lambda", "E0", "dE0"))
     for lam, e0, de0 in zip(curve.lambdas, curve.energies, curve.slopes):
         table.append((lam, e0, de0))
 
-    cusps = [
-        cusp_report(model, cusp_points.get(lam0, lam0), fill, config.tol_deg)
-        for lam0 in found
-    ]
     for c in cusps:
         table.comments.append(
             f"# cusp,{_fmt(c.lambda0)},{_fmt(c.slope_left)},{_fmt(c.slope_right)}"

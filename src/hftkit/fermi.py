@@ -17,12 +17,14 @@ subspace there and so continues the branches that meet in it; away from
 degeneracies it is the eigensolver's basis.
 
 :func:`ground_state_curve` and :func:`find_crossings` read a sweep once, in
-order.  The curve keeps per-point numbers and a copy of one state per point,
-not the points.  The crossing search holds the point in hand and the one
-before it.  On bases of ``_HELPER_MIN_DIM`` states or more, when a second CPU
-is usable and the BLAS runs each call on one thread, it hands interval
-searches to a helper thread, at most two at a time, and then also holds the
-left points of those intervals; the crossings and errors are the same.
+order, and :func:`ground_state_cusps` feeds each point to both in one pass.
+The curve keeps per-point numbers and a copy of one state per point, not the
+points; :func:`ground_state_cusps` also keeps the points on a cusp.  The
+crossing search holds the point in hand and the one before it.  On bases of
+``_HELPER_MIN_DIM`` states or more, when a second CPU is usable and the BLAS
+runs each call on one thread, it hands interval searches to a helper thread,
+at most two at a time, and then also holds the left points of those
+intervals; the crossings and errors are the same.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -255,13 +257,13 @@ def find_crossings(
 
 def _search_intervals(model: ParametricModel, points: Iterable[RotatedSpectrum], n_p: int,
                       helper) -> list[float]:
-    """The loop of :func:`find_crossings`.  An interval is handed to the
-    ``helper`` executor while it holds fewer than two, and searched on the
-    spot otherwise, or always when ``helper`` is None.  Results, and
-    errors, are taken in grid order, each as soon as it and those before
-    it are done."""
+    """The loop of :func:`find_crossings`.  Each interval is searched on the
+    spot when ``helper`` is None.  Otherwise it is handed to the ``helper``
+    executor, or searched on the spot when two are on it already, and its
+    result, or error, is taken in grid order, as soon as it and those
+    before it are done."""
     crossings: list[Optional[float]] = []
-    pending: deque = deque()  # the searches not yet taken, in grid order
+    pending: deque = deque()  # on a helper, the searches not yet taken, in grid order
     prev, prev_hit, count = None, False, 0
     try:
         for count, rot in enumerate(points, 1):
@@ -270,12 +272,11 @@ def _search_intervals(model: ParametricModel, points: Iterable[RotatedSpectrum],
             if prev is not None and lam <= prev.lam:
                 raise ValueError("need an ascending grid")
             if prev is not None and not (hit or prev_hit):
-                if helper is not None and sum(not s.done() for s in pending) < 2:
-                    pending.append(helper.submit(_interval_crossing, model, prev, lam, n_p))
+                if helper is None:
+                    crossings.append(_interval_crossing(model, prev, lam, n_p))
                 else:
-                    pending.append(_Searched(_interval_crossing, model, prev, lam, n_p))
-                while pending and pending[0].done():
-                    crossings.append(pending.popleft().result())
+                    pending.append(_hand_over(helper, pending, model, prev, lam, n_p))
+                    _take_done(pending, crossings)
             if hit:
                 crossings.append(lam)
             prev, prev_hit = rot, hit
@@ -289,25 +290,32 @@ def _search_intervals(model: ParametricModel, points: Iterable[RotatedSpectrum],
     return sorted(c for c in crossings if c is not None)
 
 
-class _Searched:
-    """An interval searched on the calling thread, held as a finished
-    future: its error is raised when its result is taken."""
+def _hand_over(helper, pending: deque, *args):
+    """A future of :func:`_interval_crossing` on ``args``: submitted to
+    ``helper`` while fewer than two ``pending`` searches run, else finished
+    here, with its error kept for when its result is taken."""
+    if sum(not search.done() for search in pending) < 2:
+        return helper.submit(_interval_crossing, *args)
+    from concurrent.futures import Future
 
-    def __init__(self, search, *args) -> None:
-        self._crossing: Optional[float] = None
-        self._error: Optional[Exception] = None
-        try:
-            self._crossing = search(*args)
-        except Exception as exc:
-            self._error = exc
+    searched = Future()
+    try:
+        searched.set_result(_interval_crossing(*args))
+    except Exception as exc:
+        searched.set_exception(exc)
+    return searched
 
-    def done(self) -> bool:
-        return True
 
-    def result(self) -> Optional[float]:
-        if self._error is not None:
-            raise self._error
-        return self._crossing
+def _take_done(pending: deque, crossings: list) -> None:
+    """Move the results of the finished searches at the head of ``pending``
+    to ``crossings``.  A failed search's error is raised and the searches
+    after it are dropped, so that no later error replaces it."""
+    try:
+        while pending and pending[0].done():
+            crossings.append(pending.popleft().result())
+    except BaseException:
+        pending.clear()
+        raise
 
 
 def _helper_helps(dim: int) -> bool:
@@ -437,19 +445,73 @@ def ground_state_curve(
     say), read once in order.  At a grid point that lands exactly on a cusp
     the left slope is recorded.  Only per-point numbers and a copy of the
     highest occupied state are kept, not the points."""
+    fill.check(model.dim)
     samples = _CurveSamples(model, fill)
     for rot in points:
         samples.add(rot)
     return samples.curve()
 
 
+def ground_state_cusps(
+    model: ParametricModel,
+    points: Iterable[RotatedSpectrum],
+    fill: FillingSpec,
+    tol: Optional[float] = None,
+) -> tuple[GroundStateCurve, list[CuspReport]]:
+    """The ground-state curve over a grid of rotated points (a :func:`sweep`,
+    say) and the cusp report of each frontier crossing in its span, with
+    the points read once, in order.
+
+    Each point is sampled for the curve and passed on to
+    :func:`find_crossings` as it is read.  A cusp on a grid point is
+    reported from that point, and only such points are kept; a cusp
+    between grid points is rotated at its lambda with the degeneracy
+    tolerance ``tol``.  Errors come as if the whole grid were read first:
+    an error raised by the points, then the filling's, then the crossing
+    search's.
+    """
+    n_p = fill.n_particles
+    if n_p > model.dim:
+        for _ in points:
+            pass
+        fill.check(model.dim)
+    samples = _CurveSamples(model, fill)
+    on_cusp: dict[float, RotatedSpectrum] = {}
+    grid_error: Optional[Exception] = None
+
+    def read() -> Iterator[RotatedSpectrum]:
+        nonlocal grid_error
+        try:
+            for rot in points:
+                samples.add(rot)
+                if _frontier_cluster(rot, n_p) is not None:
+                    on_cusp[rot.lam] = rot
+                yield rot
+        except Exception as exc:  # ends the pass, and is raised first below
+            grid_error = exc
+
+    reader = read()
+    try:
+        found, search_error = find_crossings(model, reader, fill), None
+    except Exception as exc:
+        found, search_error = [], exc
+    for _ in reader:  # the rest of the grid: all of it at full filling
+        pass
+    if grid_error is not None:
+        raise grid_error
+    curve = samples.curve()
+    if search_error is not None:
+        raise search_error
+    return curve, [cusp_report(model, on_cusp.get(lam0, lam0), fill, tol) for lam0 in found]
+
+
 class _CurveSamples:
     """The per-point numbers of a :class:`GroundStateCurve`, taken from one
     rotated point at a time, so that a reader of a grid can sample the
-    curve as it passes the points on."""
+    curve as it passes the points on.  Needs a filling that
+    ``FillingSpec.check`` accepts."""
 
     def __init__(self, model: ParametricModel, fill: FillingSpec) -> None:
-        fill.check(model.dim)
         self.model, self.fill = model, fill
         self.lams, self.energies, self.slopes, self.highest_occupied = [], [], [], []
 

@@ -4,7 +4,9 @@ import dataclasses
 import gc
 import math
 import sys
+import time
 import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -18,11 +20,13 @@ from hftkit.fermi import (
     FillingSpec,
     _frontier_cluster,
     _refine,
+    _search_intervals,
     cusp_report,
     find_crossings,
     ground_energy,
     ground_slope_hft,
     ground_state_curve,
+    ground_state_cusps,
 )
 from hftkit.hft import rotated_spectrum, sweep
 from hftkit.models import oscillator_model, six_site_model
@@ -715,6 +719,114 @@ def test_a_failed_search_comes_before_later_grid_points_only_in_crossings(monkey
     assert out == ""
     assert err == ("error: lambda=1.115 outside the open domain (-1.0, 1.0) "
                    "of model 'oscillator'\n")
+
+
+@pytest.mark.parametrize("helper", [False, True])
+def test_fermi_reports_a_grid_error_before_too_many_particles(monkeypatch, capsys, helper):
+    # 16 particles exceed the 15 orbitals of nmax 4, and lambda=1.0 lies
+    # outside the domain; the grid is answered for first
+    _search_on(monkeypatch, helper)
+    assert main(["fermi", "--model", "oscillator", "--nmax", "4", "--np", "16",
+                 "--lmin", "0.5", "--lmax", "1.5", "--steps", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: lambda=1.0 outside the open domain (-1.0, 1.0) "
+                   "of model 'oscillator'\n")
+
+
+def _fail_searches_at(monkeypatch, lefts, delay=0.0):
+    """Make the search of each interval whose left end is in ``lefts`` fail
+    with an error naming that end, the later ones ``delay`` s later, and
+    every other search find nothing."""
+    def search(model, rot, hi, n_p):
+        if rot.lam in lefts:
+            if rot.lam != lefts[0]:
+                time.sleep(delay)
+            raise TrackingError(f"search from {rot.lam!r} failed")
+        return None
+
+    monkeypatch.setattr(hftkit.fermi, "_interval_crossing", search)
+
+
+@pytest.mark.parametrize("helper", [False, True])
+def test_the_first_failed_search_in_grid_order_is_raised(monkeypatch, helper):
+    # two neighbouring intervals fail; the later one slowly, so that on the
+    # helper it is still running when the first one's error is taken
+    _search_on(monkeypatch, helper)
+    model = oscillator_model(n_max=8)
+    grid = np.linspace(0.1, 0.7, 9).tolist()
+    _fail_searches_at(monkeypatch, grid[3:5], delay=0.05)
+    for _ in range(3):
+        with pytest.raises(TrackingError, match=rf"^search from {grid[3]!r} failed$"):
+            find_crossings(model, sweep(model, grid), FillingSpec(3))
+
+
+class _StepHelper:
+    """A stand-in for the helper executor: a search handed to it runs only
+    when the next one is handed over, or when its result is asked for."""
+
+    def __init__(self):
+        self.queued = []
+
+    def submit(self, fn, *args):
+        self.run()
+        search = _OnDemand(self)
+        self.queued.append((search, fn, args))
+        return search
+
+    def run(self):
+        for search, fn, args in self.queued:
+            try:
+                search.set_result(fn(*args))
+            except Exception as exc:
+                search.set_exception(exc)
+        self.queued.clear()
+
+
+class _OnDemand(Future):
+    def __init__(self, helper):
+        super().__init__()
+        self.helper = helper
+
+    def result(self, timeout=None):
+        if not self.done():
+            self.helper.run()
+        return super().result(timeout)
+
+
+def test_a_failed_search_taken_while_a_later_one_fails_is_the_one_raised(monkeypatch):
+    # the search of [grid[3], grid[4]] is done, and has failed, when it is
+    # taken; the search of the next interval is still queued and fails when
+    # it runs
+    model = oscillator_model(n_max=8)
+    grid = np.linspace(0.1, 0.7, 9).tolist()
+    _fail_searches_at(monkeypatch, grid[3:5])
+    with pytest.raises(TrackingError, match=rf"^search from {grid[3]!r} failed$"):
+        _search_intervals(model, sweep(model, grid), 3, _StepHelper())
+
+
+@pytest.mark.parametrize("helper", [False, True])
+@pytest.mark.parametrize("model, lo, hi, steps, n_p", [
+    (six_site_model(), 0.5, 1.5, 5, 2),
+    (six_site_model(), 0.2, 2.0, 19, 2),
+    (OSC12, 0.1, 0.7, 21, 6),
+    (OSC12, -0.45, 0.45, 37, 4),
+])
+def test_ground_state_cusps_reads_once_what_a_held_grid_gives(monkeypatch, helper, model, lo,
+                                                               hi, steps, n_p):
+    _search_on(monkeypatch, helper)
+    grid = np.linspace(lo, hi, steps)
+    fill = FillingSpec(n_p)
+    points = list(sweep(model, grid))
+    want_curve = ground_state_curve(model, points, fill)
+    on_grid = {rot.lam: rot for rot in points}
+    want = [cusp_report(model, on_grid.get(lam0, lam0), fill)
+            for lam0 in find_crossings(model, points, fill)]
+    curve, cusps = ground_state_cusps(model, sweep(model, grid), fill)
+    for name in ("lambdas", "energies", "slopes"):
+        assert getattr(curve, name).tobytes() == getattr(want_curve, name).tobytes()
+    assert curve.branch_tags == want_curve.branch_tags
+    assert cusps == want and cusps
 
 
 @pytest.mark.parametrize("helper", [False, True])
