@@ -222,9 +222,10 @@ def find_crossings(
     and only the point in hand, the one before it and the left points of
     those two intervals are held.  Elsewhere each is searched on the spot
     and only the point in hand and the one before it are held.  Either way
-    the crossings are the same, and the first error in grid order is the
-    one raised: a failed search comes before the error of a grid point read
-    after its interval.
+    the crossings are the same, and after the filling's the first error in
+    grid order is raised: a failed search comes right after its interval's
+    right end.  (A :func:`sweep` raises a lambda outside the model's
+    domain before any point is read.)
 
     Each branch is followed into the Hellmann-Feynman basis of every probe
     point, formed with the degeneracy tolerance of the interval's left grid
@@ -257,13 +258,11 @@ def find_crossings(
 
 def _search_intervals(model: ParametricModel, points: Iterable[RotatedSpectrum], n_p: int,
                       helper) -> list[float]:
-    """The loop of :func:`find_crossings`.  Each interval is searched on the
-    spot when ``helper`` is None.  Otherwise it is handed to the ``helper``
-    executor, or searched on the spot when two are on it already, and its
-    result, or error, is taken in grid order, as soon as it and those
-    before it are done."""
+    """The loop of :func:`find_crossings`.  Each interval's search is handed
+    over by :func:`_hand_over`, and its result, or error, is taken in grid
+    order, as soon as it and those before it are done."""
     crossings: list[Optional[float]] = []
-    pending: deque = deque()  # on a helper, the searches not yet taken, in grid order
+    pending: deque = deque()  # the searches not yet taken, in grid order
     prev, prev_hit, count = None, False, 0
     try:
         for count, rot in enumerate(points, 1):
@@ -272,11 +271,8 @@ def _search_intervals(model: ParametricModel, points: Iterable[RotatedSpectrum],
             if prev is not None and lam <= prev.lam:
                 raise ValueError("need an ascending grid")
             if prev is not None and not (hit or prev_hit):
-                if helper is None:
-                    crossings.append(_interval_crossing(model, prev, lam, n_p))
-                else:
-                    pending.append(_hand_over(helper, pending, model, prev, lam, n_p))
-                    _take_done(pending, crossings)
+                pending.append(_hand_over(helper, pending, model, prev, lam, n_p))
+                _take_done(pending, crossings)
             if hit:
                 crossings.append(lam)
             prev, prev_hit = rot, hit
@@ -291,10 +287,10 @@ def _search_intervals(model: ParametricModel, points: Iterable[RotatedSpectrum],
 
 
 def _hand_over(helper, pending: deque, *args):
-    """A future of :func:`_interval_crossing` on ``args``: submitted to
-    ``helper`` while fewer than two ``pending`` searches run, else finished
-    here, with its error kept for when its result is taken."""
-    if sum(not search.done() for search in pending) < 2:
+    """A future of :func:`_interval_crossing` on ``args``: submitted to the
+    ``helper`` executor, if any, while fewer than two ``pending`` searches
+    run, else finished here, with its error kept for when it is taken."""
+    if helper is not None and sum(not search.done() for search in pending) < 2:
         return helper.submit(_interval_crossing, *args)
     from concurrent.futures import Future
 
@@ -466,43 +462,28 @@ def ground_state_cusps(
     :func:`find_crossings` as it is read.  A cusp on a grid point is
     reported from that point, and only such points are kept; a cusp
     between grid points is rotated at its lambda with the degeneracy
-    tolerance ``tol``.  Errors come as if the whole grid were read first:
-    an error raised by the points, then the filling's, then the crossing
-    search's.
+    tolerance ``tol``.  The filling is checked before any point is read,
+    and the grid's errors come as in :func:`find_crossings`, in grid order:
+    reading stops at the first.
     """
+    fill.check(model.dim)
     n_p = fill.n_particles
-    if n_p > model.dim:
-        for _ in points:
-            pass
-        fill.check(model.dim)
     samples = _CurveSamples(model, fill)
     on_cusp: dict[float, RotatedSpectrum] = {}
-    grid_error: Optional[Exception] = None
 
     def read() -> Iterator[RotatedSpectrum]:
-        nonlocal grid_error
-        try:
-            for rot in points:
-                samples.add(rot)
-                if _frontier_cluster(rot, n_p) is not None:
-                    on_cusp[rot.lam] = rot
-                yield rot
-        except Exception as exc:  # ends the pass, and is raised first below
-            grid_error = exc
+        for rot in points:
+            samples.add(rot)
+            if _frontier_cluster(rot, n_p) is not None:
+                on_cusp[rot.lam] = rot
+            yield rot
 
     reader = read()
-    try:
-        found, search_error = find_crossings(model, reader, fill), None
-    except Exception as exc:
-        found, search_error = [], exc
-    for _ in reader:  # the rest of the grid: all of it at full filling
+    found = find_crossings(model, reader, fill)
+    for _ in reader:  # at full filling find_crossings reads no point
         pass
-    if grid_error is not None:
-        raise grid_error
-    curve = samples.curve()
-    if search_error is not None:
-        raise search_error
-    return curve, [cusp_report(model, on_cusp.get(lam0, lam0), fill, tol) for lam0 in found]
+    return samples.curve(), [cusp_report(model, on_cusp.get(lam0, lam0), fill, tol)
+                             for lam0 in found]
 
 
 class _CurveSamples:

@@ -227,13 +227,19 @@ def sweep(
 ) -> Iterator[RotatedSpectrum]:
     """The rotated spectrum of every point of a lambda grid, in grid order.
 
-    Each point is computed by :func:`rotated_spectrum` when it is read, and
-    none is kept here: a reader that needs a point twice keeps it itself.
+    Every lambda is checked against the model's open domain here, before
+    any point is diagonalized: the first one outside it raises what
+    :meth:`ParametricModel.hamiltonian` would.  Each point is computed by
+    :func:`rotated_spectrum` when it is read, and none is kept here: a
+    reader that needs a point twice keeps it itself.
     """
     lams = np.asarray(lambdas, dtype=float)
     if lams.ndim != 1:
         raise ValueError("the lambda grid must be one-dimensional")
-    return (rotated_spectrum(model, lam, tol) for lam in lams.tolist())
+    grid = lams.tolist()
+    for lam in grid:
+        model._require_domain(lam)
+    return (rotated_spectrum(model, lam, tol) for lam in grid)
 
 
 @dataclass(frozen=True)
@@ -394,6 +400,8 @@ def offdiag_identity_residual(
     eigenvector derivative taken by tracked central differences.  For a
     degenerate pair the identity reduces to the matrix element itself, which
     must vanish in the rotated basis, so ``|<psi_m|H'|psi_n>|`` is returned.
+    A difference stencil that would leave the model's open domain is shrunk
+    to fit inside it.
     """
     _check_step(h)
     if m == n:
@@ -406,8 +414,9 @@ def offdiag_identity_residual(
     element = float(model.b.vecmat(vectors[:, m]) @ vectors[:, n])
     if rot.cluster_of(m) is rot.cluster_of(n):
         return abs(element)
-    plus, minus = (_track_stencil(model, rot, x) for x in (lam + h, lam - h))
-    dpsi_n = (plus.eigenvectors[:, n] - minus.eigenvectors[:, n]) / (2.0 * h)
+    step = _fit_step(model, lam, h, 1.0, (+1, -1))
+    plus, minus = (_track_stencil(model, rot, x) for x in (lam + step, lam - step))
+    dpsi_n = (plus.eigenvectors[:, n] - minus.eigenvectors[:, n]) / (2.0 * step)
     gap = float(rot.eigenvalues[n] - rot.eigenvalues[m])
     return abs(element - gap * float(vectors[:, m] @ dpsi_n))
 

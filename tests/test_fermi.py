@@ -702,23 +702,31 @@ def test_helper_leaves_cli_output_byte_identical(monkeypatch, capsys, tmp_path, 
 
 
 @pytest.mark.parametrize("helper", [False, True])
-def test_a_failed_search_comes_before_later_grid_points_only_in_crossings(monkeypatch, capsys,
-                                                                          helper):
-    # lambda=1.115, the last grid point, lies outside the model's domain.
-    # crossings reads the grid as it searches, so the failed search of the
-    # first interval is its answer; fermi answers for its whole grid first.
+def test_crossings_and_fermi_report_a_lambda_outside_the_domain_first(monkeypatch, capsys,
+                                                                     helper):
+    # lambda=1.115, the last grid point, lies outside the model's domain;
+    # the search of the first interval, [-0.61, -0.4375], would fail
     _search_on(monkeypatch, helper)
+    lambdas = _count_spectra(monkeypatch)
     window = ["--model", "oscillator", "--nmax", "12", "--np", "8",
               "--lmin", "-0.61", "--lmax", "1.115", "--steps", "11"]
-    assert main(["crossings", *window]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: the frontier states tracked across [-0.61, -0.4375] reach ")
-    assert main(["fermi", *window]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == ("error: lambda=1.115 outside the open domain (-1.0, 1.0) "
-                   "of model 'oscillator'\n")
+    for command in ("crossings", "fermi"):
+        assert main([command, *window]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: lambda=1.115 outside the open domain (-1.0, 1.0) "
+                       "of model 'oscillator'\n")
+    assert lambdas == []
+
+
+def test_sweep_checks_the_whole_grid_before_diagonalizing_a_point(monkeypatch):
+    lambdas = _count_spectra(monkeypatch)
+    with pytest.raises(ValueError, match=r"^lambda=1\.5 outside the open domain "
+                                         r"\(-1\.0, 1\.0\) of model 'oscillator'$"):
+        sweep(oscillator_model(), [0.5, 1.5])
+    with pytest.raises(ValueError, match=r"^lambda=0\.0 outside the open domain"):
+        sweep(six_site_model(), [0.5, 0.0, -1.0])  # the first bad lambda is named
+    assert lambdas == []
 
 
 @pytest.mark.parametrize("helper", [False, True])
@@ -732,6 +740,34 @@ def test_fermi_reports_a_grid_error_before_too_many_particles(monkeypatch, capsy
     assert out == ""
     assert err == ("error: lambda=1.0 outside the open domain (-1.0, 1.0) "
                    "of model 'oscillator'\n")
+
+
+@pytest.mark.parametrize("helper", [False, True])
+def test_fermi_reports_too_many_particles_before_diagonalizing_a_point(monkeypatch, capsys,
+                                                                      helper):
+    _search_on(monkeypatch, helper)
+    lambdas = _count_spectra(monkeypatch)
+    assert main(["fermi", "--model", "oscillator", "--nmax", "4", "--np", "16",
+                 "--lmin", "0.1", "--lmax", "0.9", "--steps", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: 16 particles exceed 15 orbitals\n"
+    assert lambdas == []
+
+
+def test_a_failing_fermi_window_stops_reading_at_its_failed_search(monkeypatch):
+    # the search of the first interval fails; the 27 grid points after it
+    # are not diagonalized
+    _search_on(monkeypatch, False)
+    lambdas = _count_spectra(monkeypatch)
+    config = ScanConfig(model="oscillator", nmax=12, lam_lo=-0.61, lam_hi=0.77, steps=29,
+                        n_particles=8)
+    with pytest.raises(TrackingError, match="a tracked state crossed a third level"):
+        run_fermi(config)
+    # the interval's two grid points, the two calls of its grid-end probe
+    # and three Newton probes of two calls each
+    assert len(lambdas) == 10
+    assert lambdas[:4] == [-0.61, config.grid()[1]] + [config.grid()[1]] * 2
 
 
 def _fail_searches_at(monkeypatch, lefts, delay=0.0):

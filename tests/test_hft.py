@@ -442,6 +442,19 @@ def test_offdiag_nondegenerate_pair():
     assert offdiag_identity_residual(six_site_model(), 0.5, 0, 1) <= 1e-6
 
 
+@pytest.mark.parametrize("model, lam", [
+    (six_site_model(), 5e-5),
+    (oscillator_model(n_max=4), 0.99995),
+    (oscillator_model(n_max=4), -0.99995),
+])
+def test_offdiag_stencil_near_the_domain_edge_shrinks_to_fit(model, lam):
+    # lam -+ DEFAULT_FD_STEP lies outside the open domain; hft_report
+    # answers there, and so does the off-diagonal identity
+    assert not model.contains(lam - DEFAULT_FD_STEP) or not model.contains(lam + DEFAULT_FD_STEP)
+    hft_report(model, lam)
+    assert offdiag_identity_residual(model, lam, 0, 1) <= 1e-10
+
+
 def test_offdiag_rejects_equal_indices():
     with pytest.raises(ValueError):
         offdiag_identity_residual(six_site_model(), 0.5, 2, 2)
